@@ -5,8 +5,8 @@ event metrics (trace CSVs go next to this script unless --outdir given)."""
 import argparse
 import pathlib
 
-from gridfreq import (compare_controllers, metrics_rows, preset_scenario,
-                      run_simulation, write_metrics_csv, write_trace_csv)
+from gridfreq import (compare_controllers, preset_scenario, run_simulation,
+                      write_metrics_csv, write_trace_csv)
 
 
 def main() -> None:
@@ -32,7 +32,8 @@ def main() -> None:
             with open(outdir / f"{preset}_{kind}_trace.csv", "w") as sink:
                 write_trace_csv(trace, sink)
         with open(outdir / f"{preset}_metrics.csv", "w") as sink:
-            write_metrics_csv(metrics_rows(preset, table), sink)
+            write_metrics_csv(
+                [(preset, kind, m) for kind, m in table.items()], sink)
     print(f"\nCSV files written to {outdir.resolve()}")
 
 

@@ -35,11 +35,6 @@ class Deadband:
         return 0.0
 
 
-def deadband_apply(db: Deadband, u: float) -> float:
-    """Functional form of :meth:`Deadband.apply`."""
-    return db.apply(u)
-
-
 class FirstOrderLag:
     """Unit-gain low-pass filter 1/(1 + sT) with internal state ``y``."""
 
@@ -60,9 +55,6 @@ class FirstOrderLag:
             raise ValueError(f"dt must be >= 0, got {dt}")
         self.y += (u - self.y) * -math.expm1(-dt / self.time_constant)
         return self.y
-
-    def reset(self, y0: float = 0.0) -> None:
-        self.y = y0
 
 
 class Washout:
@@ -93,9 +85,6 @@ class Washout:
         self.x = u + (self.x - u) * math.exp(-dt / self.time_constant)
         return (u - self.x) / self.time_constant
 
-    def reset(self, x0: float = 0.0) -> None:
-        self.x = x0
-
 
 @dataclass(frozen=True)
 class LimitSpec:
@@ -123,9 +112,3 @@ class LimitSpec:
             max_delta = self.rate_limit * dt
             out = min(max(out, prev - max_delta), prev + max_delta)
         return out
-
-
-def limit_apply(spec: LimitSpec, cmd: float, prev: float = 0.0,
-                dt: float = 0.0) -> float:
-    """Functional form of :meth:`LimitSpec.apply`."""
-    return spec.apply(cmd, prev, dt)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .compliance import (ComplianceThresholds, evaluate_compliance,
                          format_report, run_step_test)
-from .csvio import metrics_rows, write_metrics_csv, write_trace_csv
+from .csvio import write_metrics_csv, write_trace_csv
 from .engine import run_simulation
 from .headroom import (HeadroomQuery, NonMonotoneError, UnattainableError,
                        min_headroom_for_nadir, sweep_param)
@@ -94,7 +94,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     table = compare_controllers(scenario)
     with open(args.out, "w", newline="") as sink:
-        write_metrics_csv(metrics_rows(scenario.name, table), sink)
+        write_metrics_csv(
+            [(scenario.name, kind, m) for kind, m in table.items()], sink)
     for kind, m in table.items():
         print(f"{scenario.name:>12} {kind:>9}: nadir {m.nadir_hz:.4f} Hz "
               f"at {m.nadir_time_s:.2f} s, max |rocof| "

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .engine import SimConfig, _as_steps
+from .engine import SimConfig, _as_steps, _event_step
 from .metrics import (NoResponseError, NotSettledError, StepResponseMetrics,
                       compute_step_response_metrics)
 from .pv import ControllerSpec, PVPlant, PVPlantConfig, make_controller
@@ -102,7 +102,7 @@ def run_step_test(controller_spec: ControllerSpec,
     dt = cfg.dt
     n_steps = _as_steps(cfg.t_end, dt, "t_end")
     stride = _as_steps(cfg.sample_interval, dt, "sample_interval")
-    k_step = _first_step(step_time, dt)
+    k_step = _event_step(step_time, dt)
 
     t_list = [0.0]
     y_list = [0.0]
@@ -174,11 +174,3 @@ def format_report(report: ComplianceReport) -> str:
     lines.append("-" * 46)
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines)
-
-
-def _first_step(step_time: float, dt: float) -> int:
-    n = step_time / dt
-    r = round(n)
-    if abs(n - r) <= 1e-6 * max(1.0, abs(n)):
-        return r
-    return int(n) + 1

@@ -2,11 +2,14 @@
 
 Formatting is fixed at six decimal places with ``\\n`` newlines so repeated
 runs of the same command produce byte-identical files, suitable for
-golden-file comparisons.
+golden-file comparisons. Metrics rows go through the ``csv`` module, so a
+scenario or controller name holding a comma, quote or newline is quoted
+and reads back unchanged.
 """
 
 from __future__ import annotations
 
+import csv
 from typing import Iterable, TextIO
 
 from .engine import Trace
@@ -59,12 +62,12 @@ def write_metrics_csv(rows: Iterable[tuple[str, str, FrequencyMetrics]],
                       sink: TextIO) -> None:
     """Write (scenario, controller, metrics) rows in the order given."""
     sink.write(METRICS_HEADER + "\n")
+    writer = csv.writer(sink, lineterminator="\n")
     for scenario, controller, m in rows:
-        sink.write(
-            f"{scenario},{controller},{_fmt(m.nadir_hz)},"
-            f"{_fmt(m.nadir_time_s)},{_fmt(m.max_abs_rocof_hz_per_s)},"
-            f"{_fmt(m.settling_freq_hz)}\n"
-        )
+        writer.writerow((scenario, controller, _fmt(m.nadir_hz),
+                         _fmt(m.nadir_time_s),
+                         _fmt(m.max_abs_rocof_hz_per_s),
+                         _fmt(m.settling_freq_hz)))
 
 
 def read_metrics_csv(source: TextIO) -> list[tuple[str, str,
@@ -74,12 +77,10 @@ def read_metrics_csv(source: TextIO) -> list[tuple[str, str,
     if header != METRICS_HEADER:
         raise ValueError(f"unexpected metrics header: {header!r}")
     rows = []
-    for line in source:
-        line = line.strip()
-        if not line:
+    for row in csv.reader(source):
+        if not row:
             continue
-        scenario, controller, nadir, t_nadir, rocof, settling = \
-            line.split(",")
+        scenario, controller, nadir, t_nadir, rocof, settling = row
         rows.append((scenario, controller, FrequencyMetrics(
             nadir_hz=float(nadir),
             nadir_time_s=float(t_nadir),
@@ -87,9 +88,3 @@ def read_metrics_csv(source: TextIO) -> list[tuple[str, str,
             settling_freq_hz=float(settling),
         )))
     return rows
-
-
-def metrics_rows(scenario_name: str, table: dict[str, FrequencyMetrics]
-                 ) -> list[tuple[str, str, FrequencyMetrics]]:
-    """Flatten a controller-comparison table into CSV rows."""
-    return [(scenario_name, kind, m) for kind, m in table.items()]

@@ -17,7 +17,7 @@ reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -80,21 +80,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.t)
-
-
-def rk4_step(f: Callable[[Sequence[float]], Sequence[float]],
-             y: Sequence[float], dt: float) -> tuple[float, ...]:
-    """One classical RK4 step of the autonomous system y' = f(y)."""
-    if dt == 0.0:
-        return tuple(y)
-    k1 = f(y)
-    k2 = f([yi + 0.5 * dt * ki for yi, ki in zip(y, k1)])
-    k3 = f([yi + 0.5 * dt * ki for yi, ki in zip(y, k2)])
-    k4 = f([yi + dt * ki for yi, ki in zip(y, k3)])
-    return tuple(
-        yi + dt / 6.0 * (a + 2.0 * (b + c) + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
 
 
 def run_simulation(scenario: "Scenario", controller: str | None = None,

@@ -72,22 +72,6 @@ class Contingency:
             raise ValueError(f"t_event must be >= 0, got {self.t_event}")
 
 
-def swing_rhs(params: SystemParams, delta_f: float, dp_m: float,
-              dp_pv: float, dp_event: float) -> float:
-    """d(delta_f)/dt of the aggregated swing equation, in pu/s."""
-    return (dp_m + dp_pv - dp_event - params.d_load * delta_f) \
-        / (2.0 * params.h_sys)
-
-
-def governor_rhs(fleet: GovernorFleet, delta_f: float, dp_m: float) -> float:
-    """d(dp_m)/dt of the first-order governor fleet, in pu/s.
-
-    The engine clamps dp_m after integration (sign restricted by the event
-    direction, magnitude by the reserve limit).
-    """
-    return (-fleet.kappa * delta_f / fleet.r_gov - dp_m) / fleet.t_gov
-
-
 def steady_state_deviation(params: SystemParams, dp: float,
                            include_pv_droop: bool = False,
                            r_droop: float = 0.05) -> float:

@@ -24,6 +24,7 @@ COMPARE_ORDER = ("none", "droop", "inertia", "combined")
 REACTION_FRACTION = 0.02
 RISE_FRACTIONS = (0.1, 0.9)
 SETTLING_BAND = 0.025
+SETTLING_WINDOW = 5.0
 SETTLE_CHECK_FRACTION = 0.1
 SETTLE_CHECK_LIMIT = 0.005
 
@@ -54,21 +55,20 @@ class StepResponseMetrics:
 
 
 def compute_frequency_metrics(trace: Trace, t_event: float,
-                              settling_window: float = 5.0,
                               f0: float = 60.0) -> FrequencyMetrics:
     """Summarize a contingency trace.
 
     The nadir is the post-event extreme on the side of the larger
     excursion (minimum for underfrequency, maximum for overfrequency);
     nadir time is relative to ``t_event``. The settling frequency is the
-    mean over the trailing ``settling_window`` seconds.
+    mean over the trailing :data:`SETTLING_WINDOW` seconds.
     """
     if not trace.t:
         raise ValueError("empty trace")
-    if trace.t[-1] - trace.t[0] < settling_window:
+    if trace.t[-1] - trace.t[0] < SETTLING_WINDOW:
         raise ValueError(
             f"trace spans {trace.t[-1] - trace.t[0]:.3f} s, shorter than "
-            f"the settling window ({settling_window} s)"
+            f"the settling window ({SETTLING_WINDOW} s)"
         )
     start = _first_index_at_or_after(trace.t, t_event)
     if start >= len(trace.t):
@@ -85,7 +85,7 @@ def compute_frequency_metrics(trace: Trace, t_event: float,
         idx = start + post_f.index(lo)
 
     tail_start = _first_index_at_or_after(
-        trace.t, trace.t[-1] - settling_window)
+        trace.t, trace.t[-1] - SETTLING_WINDOW)
     tail = trace.f_hz[tail_start:]
     settling = sum(tail) / len(tail)
 
@@ -123,7 +123,6 @@ def compute_step_response_metrics(
         t: Sequence[float], y: Sequence[float],
         step_time: float,
         settling_band: float = SETTLING_BAND,
-        reaction_fraction: float = REACTION_FRACTION,
 ) -> StepResponseMetrics:
     """Grade a sampled step response.
 
@@ -153,7 +152,7 @@ def compute_step_response_metrics(
     # Normalized progress toward the final value, 0 at baseline, 1 at final.
     prog = [sign * (yi - baseline) / abs(change) for yi in y]
 
-    reaction = _first_crossing(t, prog, reaction_fraction) - step_time
+    reaction = _first_crossing(t, prog, REACTION_FRACTION) - step_time
     t_lo = _first_crossing(t, prog, RISE_FRACTIONS[0])
     t_hi = _first_crossing(t, prog, RISE_FRACTIONS[1])
     rise = t_hi - t_lo
@@ -172,20 +171,17 @@ def compute_step_response_metrics(
 
 def compare_controllers(scenario: "Scenario",
                         sim: SimConfig | None = None,
-                        t_event: float | None = None,
                         ) -> dict[str, FrequencyMetrics]:
     """Run the scenario under every controller kind and tabulate metrics.
 
     Returns one row per kind in the fixed order none, droop, inertia,
     combined; repeated invocations produce identical tables.
     """
-    event_time = (t_event if t_event is not None
-                  else scenario.contingency.t_event)
     table: dict[str, FrequencyMetrics] = {}
     for kind in COMPARE_ORDER:
         trace = run_simulation(scenario, controller=kind, sim=sim)
         table[kind] = compute_frequency_metrics(
-            trace, event_time, f0=scenario.system.f0)
+            trace, scenario.contingency.t_event, f0=scenario.system.f0)
     return table
 
 

@@ -152,9 +152,6 @@ class DroopController:
     def step(self, delta_f: float, dt: float) -> float:
         return -self._lag.step(self._db.apply(delta_f), dt) / self.cfg.r
 
-    def reset(self) -> None:
-        self._lag.reset()
-
 
 class InertiaController:
     """Deadband -> lag -> gain -> washout. Once the filters settle the
@@ -181,10 +178,6 @@ class InertiaController:
                 cmd = min(cmd, 0.0)
         return cmd
 
-    def reset(self) -> None:
-        self._lag.reset()
-        self._wash.reset()
-
 
 class CombinedController:
     """Sum of an independent droop path and an independent inertia path."""
@@ -196,19 +189,12 @@ class CombinedController:
     def step(self, delta_f: float, dt: float) -> float:
         return self.droop.step(delta_f, dt) + self.inertia.step(delta_f, dt)
 
-    def reset(self) -> None:
-        self.droop.reset()
-        self.inertia.reset()
-
 
 class ZeroController:
     """No frequency response (the default PV behaviour)."""
 
     def step(self, delta_f: float, dt: float) -> float:
         return 0.0
-
-    def reset(self) -> None:
-        pass
 
 
 def make_controller(spec: ControllerSpec):
@@ -238,23 +224,9 @@ class PVPlant:
         """Current output deviation in plant pu (post inverter lag)."""
         return self._lag.y
 
-    @property
-    def output_system_pu(self) -> float:
-        return self.cfg.c_pv * self._lag.y
-
     def step(self, cmd: float, dt: float) -> float:
         """Apply the envelope to ``cmd`` (plant pu) and advance the inverter
         lag; returns the plant output deviation in system pu."""
         limited = self._limits.apply(cmd, self._prev, dt)
         self._prev = limited
         return self.cfg.c_pv * self._lag.step(limited, dt)
-
-    def reset(self) -> None:
-        self._lag.reset()
-        self._prev = 0.0
-
-
-def plant_apply(cfg: PVPlantConfig, cmd: float, prev: float,
-                dt: float) -> float:
-    """Single envelope clamp (no lag state): magnitude then rate limits."""
-    return cfg.limits().apply(cmd, prev, dt)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -47,24 +48,56 @@ def preset_scenario(name: str, controller: str = "none") -> Scenario:
                     controller=ControllerSpec(kind=controller), name=name)
 
 
-# Section -> field -> (leaf config dataclass attribute, caster).
-_SCHEMA: dict[str, Any] = {
-    "system": {
-        "h_sys": float, "d_load": float, "f0": float,
-        "governor": {"kappa": float, "r_gov": float, "t_gov": float,
-                     "reserve_limit": float},
-        "pv": {"c_pv": float, "headroom": float, "available_power": float,
-               "t_inv": float, "rate_limit": float},
-    },
-    "controller": {
-        "kind": str,
-        "droop": {"r": float, "deadband": float, "t_lag": float},
-        "inertia": {"k": float, "deadband": float, "t_lag": float,
-                    "t_washout": float, "recovery_clamp": bool},
-    },
-    "contingency": {"dp": float, "t_event": float},
-    "sim": {"dt": float, "t_end": float, "sample_interval": float,
-            "rocof_window": float},
+def _number(value: Any, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{path} must be a number")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{path} must be finite, got {value}")
+    return float(value)
+
+
+def _optional_number(value: Any, path: str) -> float | None:
+    return None if value is None else _number(value, path)
+
+
+def _boolean(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{path} must be true or false")
+    return value
+
+
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path} must be a string")
+    return value
+
+
+# The one table of scenario fields: section -> (dataclass, {field: leaf
+# caster or nested section}). Parsing walks it, and its non-string leaves
+# are the dotted paths that --set and parameter sweeps address.
+_SCHEMA: dict[str, tuple[type, dict[str, Any]]] = {
+    "system": (SystemParams, {
+        "h_sys": _number, "d_load": _number, "f0": _number,
+        "governor": (GovernorFleet, {
+            "kappa": _number, "r_gov": _number, "t_gov": _number,
+            "reserve_limit": _number}),
+        "pv": (PVPlantConfig, {
+            "c_pv": _number, "headroom": _number,
+            "available_power": _number, "t_inv": _number,
+            "rate_limit": _optional_number}),
+    }),
+    "controller": (ControllerSpec, {
+        "kind": _string,
+        "droop": (DroopConfig, {
+            "r": _number, "deadband": _number, "t_lag": _number}),
+        "inertia": (InertiaConfig, {
+            "k": _number, "deadband": _number, "t_lag": _number,
+            "t_washout": _number, "recovery_clamp": _boolean}),
+    }),
+    "contingency": (Contingency, {"dp": _number, "t_event": _number}),
+    "sim": (SimConfig, {
+        "dt": _number, "t_end": _number, "sample_interval": _number,
+        "rocof_window": _number}),
 }
 
 
@@ -103,158 +136,84 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             f"unknown key(s) {', '.join(sorted(unknown))}; expected "
             f"{', '.join(sorted(_SCHEMA))} (plus name, preset)"
         )
-
-    system_doc = _check_section(doc.get("system", {}), "system")
-    gov_doc = _check_section(system_doc.pop("governor", {}),
-                             "system.governor")
-    pv_doc = _check_section(system_doc.pop("pv", {}), "system.pv")
-    ctrl_doc = _check_section(doc.get("controller", {}), "controller")
-    droop_doc = _check_section(ctrl_doc.pop("droop", {}),
-                               "controller.droop")
-    inertia_doc = _check_section(ctrl_doc.pop("inertia", {}),
-                                 "controller.inertia")
-    cont_doc = _check_section(doc.get("contingency", {}), "contingency")
-    sim_doc = _check_section(doc.get("sim", {}), "sim")
-
-    if base is None and "h_sys" not in system_doc:
-        raise ScenarioError("system.h_sys is required without a preset")
-    if base is None and "dp" not in cont_doc:
-        raise ScenarioError("contingency.dp is required without a preset")
-
-    governor = _build(GovernorFleet, gov_doc, "system.governor",
-                      base.system.governor if base else None)
-    pv = _build(PVPlantConfig, pv_doc, "system.pv",
-                base.system.pv if base else None)
-    system = _build(SystemParams, dict(system_doc, governor=governor,
-                                       pv=pv), "system",
-                    base.system if base else None)
-    droop = _build(DroopConfig, droop_doc, "controller.droop",
-                   base.controller.droop if base else None)
-    inertia = _build(InertiaConfig, inertia_doc, "controller.inertia",
-                     base.controller.inertia if base else None)
-    controller = _build(ControllerSpec,
-                        dict(ctrl_doc, droop=droop, inertia=inertia),
-                        "controller",
-                        base.controller if base else None)
-    contingency = _build(Contingency, cont_doc, "contingency",
-                         base.contingency if base else None)
-    sim = _build(SimConfig, sim_doc, "sim", base.sim if base else None)
-    return Scenario(system=system, contingency=contingency,
-                    controller=controller, sim=sim, name=str(name))
+    sections = {
+        key: _build(section, doc.get(key, {}), key,
+                    None if base is None else getattr(base, key))
+        for key, section in _SCHEMA.items()
+    }
+    return Scenario(name=str(name), **sections)
 
 
-def _check_section(section: Any, path: str) -> dict[str, Any]:
-    """Validate a document section against the schema; returns a copy."""
-    if not isinstance(section, dict):
+def _build(section: tuple[type, dict[str, Any]], doc: Any, path: str,
+           base: Any):
+    """Validate ``doc`` against a schema section and construct its
+    dataclass from ``base`` (or the class defaults) plus the given fields."""
+    cls, fields = section
+    if not isinstance(doc, dict):
         raise ScenarioError(f"{path} must be an object")
-    schema = _SCHEMA
-    for part in path.split("."):
-        schema = schema[part]
-    out: dict[str, Any] = {}
-    for key, value in section.items():
-        if key not in schema:
-            raise ScenarioError(
-                f"unknown key {path}.{key}; valid keys: "
-                f"{', '.join(sorted(schema))}"
-            )
-        caster = schema[key]
-        if isinstance(caster, dict):
-            out[key] = value  # nested section, checked by its own call
-        elif caster is bool:
-            if not isinstance(value, bool):
-                raise ScenarioError(f"{path}.{key} must be true or false")
-            out[key] = value
-        elif caster is str:
-            if not isinstance(value, str):
-                raise ScenarioError(f"{path}.{key} must be a string")
-            out[key] = value
-        else:
-            if value is None and key == "rate_limit":
-                out[key] = None
-            elif isinstance(value, bool) or not isinstance(
-                    value, (int, float)):
-                raise ScenarioError(f"{path}.{key} must be a number")
-            else:
-                out[key] = float(value)
-    return out
-
-
-def _build(cls, overrides: dict[str, Any], path: str, base=None):
-    """Construct ``cls`` from a base instance plus field overrides."""
-    try:
-        if base is not None:
-            return dataclasses.replace(base, **overrides)
-        return cls(**overrides)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-    except TypeError:
-        missing = [f.name for f in dataclasses.fields(cls)
+    unknown = [key for key in doc if key not in fields]
+    if unknown:
+        raise ScenarioError(
+            f"unknown key {path}.{unknown[0]}; valid keys: "
+            f"{', '.join(sorted(fields))}"
+        )
+    values: dict[str, Any] = {}
+    for key, spec in fields.items():
+        if isinstance(spec, tuple):
+            values[key] = _build(spec, doc.get(key, {}), f"{path}.{key}",
+                                 None if base is None else getattr(base, key))
+        elif key in doc:
+            values[key] = spec(doc[key], f"{path}.{key}")
+    if base is None:
+        missing = [f"{path}.{f.name}" for f in dataclasses.fields(cls)
                    if f.default is dataclasses.MISSING
                    and f.default_factory is dataclasses.MISSING
-                   and f.name not in overrides]
-        raise ScenarioError(
-            f"{path} is missing required field(s): {', '.join(missing)}"
-        ) from None
-
-
-def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    """Serialize a scenario to its document form (no preset reference)."""
-    return {
-        "name": scenario.name,
-        "system": {
-            "h_sys": scenario.system.h_sys,
-            "d_load": scenario.system.d_load,
-            "f0": scenario.system.f0,
-            "governor": dataclasses.asdict(scenario.system.governor),
-            "pv": dataclasses.asdict(scenario.system.pv),
-        },
-        "controller": {
-            "kind": scenario.controller.kind,
-            "droop": dataclasses.asdict(scenario.controller.droop),
-            "inertia": dataclasses.asdict(scenario.controller.inertia),
-        },
-        "contingency": dataclasses.asdict(scenario.contingency),
-        "sim": dataclasses.asdict(scenario.sim),
-    }
+                   and f.name not in values]
+        if missing:
+            raise ScenarioError(
+                f"{', '.join(missing)} is required without a preset")
+    try:
+        if base is not None:
+            return dataclasses.replace(base, **values)
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True)
+    """Canonical JSON document of ``scenario`` (no preset reference)."""
+    return json.dumps(dataclasses.asdict(scenario), indent=2, sort_keys=True)
 
 
-# Dotted paths addressable by --set and by parameter sweeps.
-_PATH_SECTIONS = {
-    "system": ("system", SystemParams),
-    "system.governor": ("system.governor", GovernorFleet),
-    "system.pv": ("system.pv", PVPlantConfig),
-    "controller.droop": ("controller.droop", DroopConfig),
-    "controller.inertia": ("controller.inertia", InertiaConfig),
-    "contingency": ("contingency", Contingency),
-    "sim": ("sim", SimConfig),
-}
+def _leaf_casters(fields: dict[str, Any], prefix: str):
+    for key, spec in fields.items():
+        path = f"{prefix}.{key}" if prefix else key
+        if isinstance(spec, tuple):
+            yield from _leaf_casters(spec[1], path)
+        elif spec is not _string:
+            yield path, spec
+
+
+# Dotted path -> caster for every field that set_param can replace.
+_PARAMS: dict[str, Any] = dict(sorted(_leaf_casters(_SCHEMA, "")))
 
 
 def valid_param_paths() -> list[str]:
     """All dotted paths accepted by :func:`set_param`."""
-    paths = []
-    for prefix, (_, cls) in _PATH_SECTIONS.items():
-        for f in dataclasses.fields(cls):
-            if f.type in ("float", "float | None", "bool"):
-                paths.append(f"{prefix}.{f.name}")
-    return sorted(paths)
+    return list(_PARAMS)
 
 
 def set_param(scenario: Scenario, path: str, value: Any) -> Scenario:
     """Return a copy of ``scenario`` with the field at ``path`` replaced."""
-    if path not in valid_param_paths():
+    if path not in _PARAMS:
         raise ScenarioError(
             f"unknown parameter path {path!r}; valid paths: "
-            f"{', '.join(valid_param_paths())}"
+            f"{', '.join(_PARAMS)}"
         )
+    value = _PARAMS[path](value, path)
     prefix, _, leaf = path.rpartition(".")
-    parts = prefix.split(".")
     try:
-        return _replace_nested(scenario, parts, leaf, value)
+        return _replace_nested(scenario, prefix.split("."), leaf, value)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridfreq.blocks import (Deadband, FirstOrderLag, LimitSpec, Washout,
-                             deadband_apply, limit_apply)
+from gridfreq.blocks import Deadband, FirstOrderLag, LimitSpec, Washout
 
 
 class TestDeadband:
@@ -20,8 +19,8 @@ class TestDeadband:
         ],
     )
     def test_values(self, width, u, expected):
-        assert deadband_apply(Deadband(width), u) == pytest.approx(
-            expected, abs=1e-15)
+        assert Deadband(width).apply(u) == pytest.approx(expected,
+                                                         abs=1e-15)
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
@@ -140,7 +139,7 @@ class TestLimitSpec:
     )
     def test_magnitude_clamp(self, cmd, expected):
         spec = LimitSpec(up_limit=0.1, down_limit=-0.9)
-        assert limit_apply(spec, cmd) == expected
+        assert spec.apply(cmd) == expected
 
     def test_rate_limit(self):
         spec = LimitSpec(up_limit=1.0, down_limit=-1.0, rate_limit=0.5)

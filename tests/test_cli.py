@@ -60,6 +60,14 @@ class TestSimulate:
                        str(tmp_path / "t.csv"), "--set", "system.h_sys=fast")
         assert code == 1
 
+    def test_non_finite_set_value_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = run_cli("simulate", "--preset", "ei80", "--out", str(out),
+                       "--set", "system.h_sys=nan")
+        assert code == 1
+        assert "system.h_sys" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_set_path_exits_1(self, tmp_path, capsys):
         code = run_cli("simulate", "--preset", "ei80", "--out",
                        str(tmp_path / "t.csv"), "--set", "system.bogus=1")

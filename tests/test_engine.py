@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gridfreq.engine import SimConfig, rk4_step, run_simulation
+from gridfreq.engine import SimConfig, run_simulation
 from gridfreq.metrics import compute_frequency_metrics
 from gridfreq.pv import CombinedController, DroopController, PVPlant
 from gridfreq.scenario import (preset_scenario, scenario_from_dict,
@@ -23,28 +23,6 @@ def d_only_analytic(t_after_event, dp=0.02, d_load=1.0, h_sys=3.0):
     tau = 2.0 * h_sys / d_load
     return 60.0 * (1.0 - (dp / d_load) * (1.0 - math.exp(-t_after_event
                                                          / tau)))
-
-
-class TestRk4Step:
-    def test_zero_dt_is_identity(self):
-        y = (1.0, -2.0, 0.5)
-        assert rk4_step(lambda s: (0.1, 0.2, 0.3), y, 0.0) == y
-
-    def test_exponential_single_step(self):
-        # y' = -y from 1.0: one RK4 step matches exp to O(dt^5)
-        dt = 0.1
-        (y1,) = rk4_step(lambda s: (-s[0],), (1.0,), dt)
-        assert abs(y1 - math.exp(-dt)) < dt ** 5
-
-    def test_halving_dt_improves_order(self):
-        def err(dt):
-            y = (1.0,)
-            steps = round(1.0 / dt)
-            for _ in range(steps):
-                y = rk4_step(lambda s: (-s[0],), y, dt)
-            return abs(y[0] - math.exp(-1.0))
-
-        assert err(0.1) / err(0.05) >= 8.0
 
 
 class TestRunSimulation:

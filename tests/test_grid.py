@@ -1,41 +1,32 @@
 import pytest
 
+from gridfreq.engine import SimConfig, run_simulation
 from gridfreq.grid import (Contingency, GovernorFleet, PRESETS,
-                           SystemParams, governor_rhs, preset_params,
-                           steady_state_deviation, swing_rhs)
-
-
-class TestSwingRhs:
-    def test_equilibrium(self):
-        params = SystemParams(h_sys=3.0, d_load=1.0)
-        assert swing_rhs(params, 0.0, 0.0, 0.0, 0.0) == 0.0
-
-    def test_event_only(self):
-        params = SystemParams(h_sys=3.0, d_load=1.0)
-        rate = swing_rhs(params, 0.0, 0.0, 0.0, 0.02)
-        assert rate == pytest.approx(-0.0033333, abs=1e-6)
-        assert rate * 60.0 == pytest.approx(-0.2, abs=1e-4)  # Hz/s
-
-    def test_damping_only(self):
-        params = SystemParams(h_sys=3.0, d_load=1.0)
-        assert swing_rhs(params, -0.002, 0.0, 0.0, 0.0) == pytest.approx(
-            0.00033333, abs=1e-8)
+                           SystemParams, preset_params,
+                           steady_state_deviation)
+from gridfreq.scenario import preset_scenario, set_param
 
 
 class TestGovernorRhs:
-    def test_equilibrium(self):
-        fleet = GovernorFleet()
-        assert governor_rhs(fleet, 0.0, 0.0) == 0.0
-
     def test_initial_rate(self):
-        fleet = GovernorFleet(kappa=0.3, r_gov=0.05, t_gov=8.0)
-        assert governor_rhs(fleet, -0.002, 0.0) == pytest.approx(
-            0.0015, abs=1e-9)
-
-    def test_steady_state(self):
-        fleet = GovernorFleet(kappa=0.3, r_gov=0.05, t_gov=8.0)
-        assert governor_rhs(fleet, -0.0028571, 0.0171428) == pytest.approx(
-            0.0, abs=1e-6)
+        """The engine's governor follows d(dp_gov)/dt =
+        (kappa/r_gov*|df| - dp_gov)/t_gov, so right after the event its
+        slope is kappa/r_gov*|df|/t_gov; both read from a trace."""
+        s = preset_scenario("ercot80")
+        s = set_param(s, "system.governor.kappa", 0.5)
+        s = set_param(s, "system.governor.t_gov", 4.0)
+        gov = s.system.governor
+        trace = run_simulation(s, sim=SimConfig(t_end=6.0))
+        k_event = trace.t.index(s.contingency.t_event)
+        for k in range(k_event + 1, k_event + 300):
+            slope = (trace.dp_gov_pu[k + 1] - trace.dp_gov_pu[k - 1]) \
+                / (trace.t[k + 1] - trace.t[k - 1])
+            abs_df = 1.0 - trace.f_hz[k] / s.system.f0
+            rate = gov.kappa / gov.r_gov * abs_df / gov.t_gov
+            assert slope == pytest.approx(
+                rate - trace.dp_gov_pu[k] / gov.t_gov, rel=1e-3)
+            if k <= k_event + 3:
+                assert slope == pytest.approx(rate, rel=5e-3)
 
     def test_invalid_fleet(self):
         with pytest.raises(ValueError):

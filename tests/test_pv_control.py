@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from gridfreq.pv import (CombinedController, ControllerSpec, DroopConfig,
                          DroopController, InertiaConfig, InertiaController,
                          PVPlant, PVPlantConfig, make_controller,
-                         plant_apply, validate_kind)
+                         validate_kind)
 
 
 def settle(controller, delta_f, dt=0.005, seconds=25.0):
@@ -155,11 +155,11 @@ class TestCombinedController:
 class TestPVPlant:
     def test_headroom_saturation(self):
         cfg = PVPlantConfig(headroom=0.1, available_power=1.0)
-        assert plant_apply(cfg, 0.15, 0.0, 0.01) == pytest.approx(0.10)
+        assert cfg.limits().apply(0.15, 0.0, 0.01) == pytest.approx(0.10)
 
     def test_curtail_floor(self):
         cfg = PVPlantConfig(headroom=0.1, available_power=1.0)
-        assert plant_apply(cfg, -1.2, 0.0, 0.01) == pytest.approx(-0.9)
+        assert cfg.limits().apply(-1.2, 0.0, 0.01) == pytest.approx(-0.9)
 
     def test_system_base_scaling(self):
         plant = PVPlant(PVPlantConfig(c_pv=0.4, headroom=0.05))

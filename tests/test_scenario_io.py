@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -5,15 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridfreq.csvio import (METRICS_HEADER, TRACE_HEADER, metrics_rows,
-                            read_metrics_csv, read_trace_csv,
-                            write_metrics_csv, write_trace_csv)
+from gridfreq.csvio import (METRICS_HEADER, TRACE_HEADER, read_metrics_csv,
+                            read_trace_csv, write_metrics_csv,
+                            write_trace_csv)
 from gridfreq.engine import SimConfig, Trace, run_simulation
 from gridfreq.metrics import FrequencyMetrics, compare_controllers
-from gridfreq.scenario import (Scenario, ScenarioError, parse_scenario,
-                               parse_set_value, preset_scenario,
-                               scenario_from_dict, serialize_scenario,
-                               set_param, valid_param_paths)
+from gridfreq.scenario import (_SCHEMA, Scenario, ScenarioError,
+                               parse_scenario, parse_set_value,
+                               preset_scenario, scenario_from_dict,
+                               serialize_scenario, set_param,
+                               valid_param_paths)
 
 CANONICAL = """
 {"name":"ei80-droop","preset":"ei80",
@@ -73,6 +75,15 @@ class TestParseScenario:
             parse_scenario('{"contingency": {"dp": 0.01}}')
         with pytest.raises(ScenarioError, match="dp"):
             parse_scenario('{"system": {"h_sys": 2.0}}')
+
+    @pytest.mark.parametrize("doc, path", [
+        ('{"preset":"ei80","system":{"h_sys":NaN}}', "system.h_sys"),
+        ('{"preset":"ei80","contingency":{"dp":Infinity}}',
+         "contingency.dp"),
+    ])
+    def test_non_finite_number_rejected(self, doc, path):
+        with pytest.raises(ScenarioError, match=f"{path} must be finite"):
+            parse_scenario(doc)
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(ScenarioError, match="line"):
@@ -146,6 +157,8 @@ class TestSetParam:
         s = preset_scenario("ei80")
         with pytest.raises(ScenarioError, match="system.h_sys"):
             set_param(s, "system.h_sys", -2.0)
+        with pytest.raises(ScenarioError, match="system.h_sys"):
+            set_param(s, "system.h_sys", float("nan"))
 
     def test_parse_set_value(self):
         assert parse_set_value("0.25") == 0.25
@@ -203,7 +216,7 @@ class TestMetricsCsv:
         s = preset_scenario("ei80")
         table = compare_controllers(s, sim=SimConfig(t_end=20.0))
         sink = io.StringIO()
-        write_metrics_csv(metrics_rows(s.name, table), sink)
+        write_metrics_csv([(s.name, k, m) for k, m in table.items()], sink)
         lines = sink.getvalue().splitlines()
         assert lines[0] == METRICS_HEADER
         kinds = [line.split(",")[1] for line in lines[1:]]
@@ -226,6 +239,47 @@ class TestMetricsCsv:
         assert rows[0][2].nadir_hz == pytest.approx(m.nadir_hz, abs=1e-6)
         assert rows[0][2].settling_freq_hz == pytest.approx(
             m.settling_freq_hz, abs=1e-6)
+
+    def test_roundtrip_quoted_names(self):
+        m = FrequencyMetrics(nadir_hz=59.5, nadir_time_s=2.0,
+                             max_abs_rocof_hz_per_s=0.5,
+                             settling_freq_hz=59.8)
+        names = [('a,b "c"', "droop"), ("line\nbreak", 'x"y')]
+        sink = io.StringIO()
+        write_metrics_csv([(s, c, m) for s, c in names], sink)
+        rows = read_metrics_csv(io.StringIO(sink.getvalue()))
+        assert [(s, c) for s, c, _ in rows] == names
+        assert all(r[2] == m for r in rows)
+
+
+class TestSchema:
+    def test_param_paths_are_exact(self):
+        assert valid_param_paths() == [
+            "contingency.dp", "contingency.t_event",
+            "controller.droop.deadband", "controller.droop.r",
+            "controller.droop.t_lag", "controller.inertia.deadband",
+            "controller.inertia.k", "controller.inertia.recovery_clamp",
+            "controller.inertia.t_lag", "controller.inertia.t_washout",
+            "sim.dt", "sim.rocof_window", "sim.sample_interval",
+            "sim.t_end", "system.d_load", "system.f0",
+            "system.governor.kappa", "system.governor.r_gov",
+            "system.governor.reserve_limit", "system.governor.t_gov",
+            "system.h_sys", "system.pv.available_power",
+            "system.pv.c_pv", "system.pv.headroom",
+            "system.pv.rate_limit", "system.pv.t_inv",
+        ]
+
+    def test_sections_match_dataclasses(self):
+        def check(sections, prefix):
+            for key, (cls, fields) in sections.items():
+                names = {f.name for f in dataclasses.fields(cls)}
+                assert set(fields) == names, prefix + key
+                check({k: v for k, v in fields.items()
+                       if isinstance(v, tuple)}, f"{prefix}{key}.")
+
+        check(_SCHEMA, "")
+        assert set(_SCHEMA) | {"name"} == {
+            f.name for f in dataclasses.fields(Scenario)}
 
 
 class TestScenarioDocForm:

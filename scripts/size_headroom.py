@@ -23,7 +23,8 @@ def main() -> None:
     result = min_headroom_for_nadir(query, sim=sim)
     print(f"{args.preset}/{args.controller}: minimum headroom "
           f"{result.headroom:.4f} of available power keeps the nadir at or "
-          f"above {args.target} Hz ({result.n_runs} simulation runs)")
+          f"above {args.target} Hz ({result.n_runs} simulation runs, "
+          f"{len(result.evaluations)} headroom values)")
 
     print("\nnadir vs headroom:")
     values = [0.0, 0.02, 0.05, 0.1, 0.2, 0.3]

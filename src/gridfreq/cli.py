@@ -149,7 +149,8 @@ def _cmd_headroom(args: argparse.Namespace) -> int:
                           h_max=args.h_max, tolerance=args.tolerance)
     result = min_headroom_for_nadir(query)
     print(f"minimum headroom {result.headroom:.4f} "
-          f"({result.n_runs} simulation runs) for nadir >= "
+          f"({result.n_runs} simulation runs, {len(result.evaluations)} "
+          f"headroom values) for nadir >= "
           f"{args.target:.3f} Hz on {scenario.name}/{controller}")
     return EXIT_OK
 

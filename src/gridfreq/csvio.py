@@ -2,9 +2,9 @@
 
 Formatting is fixed at six decimal places with ``\\n`` newlines so repeated
 runs of the same command produce byte-identical files, suitable for
-golden-file comparisons. Metrics rows go through the ``csv`` module, so a
-scenario or controller name holding a comma, quote or newline is quoted
-and reads back unchanged.
+golden-file comparisons. A scenario or controller name holding a comma,
+quote, carriage return or newline is written quoted, as the ``csv`` module
+does, and the ``csv`` reader reads it back unchanged.
 """
 
 from __future__ import annotations
@@ -24,6 +24,14 @@ METRICS_HEADER = ("scenario,controller,nadir_hz,nadir_time_s,"
 def _fmt(x: float) -> str:
     # x + 0.0 canonicalizes -0.0 so zero always prints as 0.000000
     return f"{x + 0.0:.6f}"
+
+
+def _text_field(text: str) -> str:
+    # The csv writer leaves a bare "\r" unquoted when the line terminator
+    # is "\n", which splits the row on reading; quote it ourselves.
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_trace_csv(trace: Trace, sink: TextIO) -> None:
@@ -62,12 +70,11 @@ def write_metrics_csv(rows: Iterable[tuple[str, str, FrequencyMetrics]],
                       sink: TextIO) -> None:
     """Write (scenario, controller, metrics) rows in the order given."""
     sink.write(METRICS_HEADER + "\n")
-    writer = csv.writer(sink, lineterminator="\n")
     for scenario, controller, m in rows:
-        writer.writerow((scenario, controller, _fmt(m.nadir_hz),
-                         _fmt(m.nadir_time_s),
-                         _fmt(m.max_abs_rocof_hz_per_s),
-                         _fmt(m.settling_freq_hz)))
+        sink.write(",".join((_text_field(scenario), _text_field(controller),
+                             _fmt(m.nadir_hz), _fmt(m.nadir_time_s),
+                             _fmt(m.max_abs_rocof_hz_per_s),
+                             _fmt(m.settling_freq_hz))) + "\n")
 
 
 def read_metrics_csv(source: TextIO) -> list[tuple[str, str,

@@ -16,6 +16,7 @@ reductions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -68,6 +69,12 @@ class Trace:
     window start saturates at sample 0 and rocof[0] is 0. The per-path
     columns are the droop and inertia command requests scaled to the system
     base before the plant envelope; the delivered total is ``dp_pv_pu``.
+
+    ``cmd_min`` and ``cmd_max`` bound every plant-pu command requested
+    before the envelope clamp, over all RK4 stages and rate-limiter
+    updates. A run whose range lies inside [``pv.down_limit``,
+    ``pv.up_limit``] never touched either limit, so any headroom whose
+    envelope also contains the range gives the same trajectory.
     """
 
     t: list[float] = field(default_factory=list)
@@ -77,17 +84,24 @@ class Trace:
     dp_pv_pu: list[float] = field(default_factory=list)
     dp_pv_droop_pu: list[float] = field(default_factory=list)
     dp_pv_inertia_pu: list[float] = field(default_factory=list)
+    cmd_min: float = 0.0
+    cmd_max: float = 0.0
 
     def __len__(self) -> int:
         return len(self.t)
 
 
 def run_simulation(scenario: "Scenario", controller: str | None = None,
-                   sim: SimConfig | None = None) -> Trace:
+                   sim: SimConfig | None = None,
+                   stop_below_hz: float | None = None) -> Trace:
     """Simulate ``scenario`` and return the sampled trace.
 
     ``controller`` overrides the scenario's controller kind; ``sim``
-    overrides its integration settings.
+    overrides its integration settings. With ``stop_below_hz`` the run
+    ends after the first sample whose frequency is below it, and the trace
+    is an exact prefix of the full one. A final state that is not finite
+    raises ``ValueError`` naming ``sim.dt`` and the fastest active time
+    constant.
     """
     from .pv import validate_kind
 
@@ -138,8 +152,17 @@ def run_simulation(scenario: "Scenario", controller: str | None = None,
     f0 = system.f0
     dp = contingency.dp
 
+    # [lo_s, hi_s] is the step's command envelope (the rate limiter may
+    # narrow it each step) and [c_lo, c_hi] the range of commands requested
+    # before it. A stage whose request lies in [w_lo, w_hi], their
+    # intersection, changes neither, so one test serves both.
+    lo_s = lo
+    hi_s = hi
+    c_lo = c_hi = w_lo = w_hi = 0.0
+
     def deriv(df: float, dpm: float, ld: float, li: float, xw: float,
-              p: float, dp_event: float, lo_s: float, hi_s: float):
+              p: float, dp_event: float):
+        nonlocal c_lo, c_hi, w_lo, w_hi
         if droop_on:
             if df > w_d:
                 u = df - w_d
@@ -173,10 +196,17 @@ def run_simulation(scenario: "Scenario", controller: str | None = None,
         else:
             d_li = 0.0
             d_xw = 0.0
-        if cmd < lo_s:
-            cmd = lo_s
-        elif cmd > hi_s:
-            cmd = hi_s
+        if not w_lo <= cmd <= w_hi:
+            if cmd < c_lo:
+                c_lo = cmd
+            elif cmd > c_hi:
+                c_hi = cmd
+            w_lo = c_lo if c_lo > lo_s else lo_s
+            w_hi = c_hi if c_hi < hi_s else hi_s
+            if cmd < lo_s:
+                cmd = lo_s
+            elif cmd > hi_s:
+                cmd = hi_s
         d_p = (cmd - p) * r_tinv
         d_df = (dpm + c_pv * p - dp_event - d_load * df) * r_2h
         d_dpm = (-kappa_r * df - dpm) * r_tgov
@@ -212,31 +242,33 @@ def run_simulation(scenario: "Scenario", controller: str | None = None,
     h2 = 0.5 * dt
     dt6 = dt / 6.0
 
+    stop = -math.inf if stop_below_hz is None else stop_below_hz
+    f_hz = trace.f_hz
     record(0.0, df, dpm, ld, li, xw, p)
+    if f_hz[-1] < stop:
+        n_steps = 0
     for k in range(n_steps):
         dp_event = dp if k >= k_event else 0.0
         if rate is not None:
             max_delta = rate * dt
             lo_s = max(lo, prev_cmd - max_delta)
             hi_s = min(hi, prev_cmd + max_delta)
-        else:
-            lo_s = lo
-            hi_s = hi
+            w_lo = c_lo if c_lo > lo_s else lo_s
+            w_hi = c_hi if c_hi < hi_s else hi_s
 
-        a1, b1, c1, e1, g1, p1 = deriv(df, dpm, ld, li, xw, p,
-                                       dp_event, lo_s, hi_s)
+        a1, b1, c1, e1, g1, p1 = deriv(df, dpm, ld, li, xw, p, dp_event)
         a2, b2, c2, e2, g2, p2 = deriv(df + h2 * a1, dpm + h2 * b1,
                                        ld + h2 * c1, li + h2 * e1,
                                        xw + h2 * g1, p + h2 * p1,
-                                       dp_event, lo_s, hi_s)
+                                       dp_event)
         a3, b3, c3, e3, g3, p3 = deriv(df + h2 * a2, dpm + h2 * b2,
                                        ld + h2 * c2, li + h2 * e2,
                                        xw + h2 * g2, p + h2 * p2,
-                                       dp_event, lo_s, hi_s)
+                                       dp_event)
         a4, b4, c4, e4, g4, p4 = deriv(df + dt * a3, dpm + dt * b3,
                                        ld + dt * c3, li + dt * e3,
                                        xw + dt * g3, p + dt * p3,
-                                       dp_event, lo_s, hi_s)
+                                       dp_event)
         df += dt6 * (a1 + 2.0 * (a2 + a3) + a4)
         dpm += dt6 * (b1 + 2.0 * (b2 + b3) + b4)
         ld += dt6 * (c1 + 2.0 * (c2 + c3) + c4)
@@ -264,11 +296,33 @@ def run_simulation(scenario: "Scenario", controller: str | None = None,
         if rate is not None:
             cmd_d, cmd_i = path_cmds(df, ld, li, xw)
             cmd = cmd_d + cmd_i
+            if cmd < c_lo:
+                c_lo = cmd
+            elif cmd > c_hi:
+                c_hi = cmd
             prev_cmd = min(max(min(max(cmd, lo), hi), lo_s), hi_s)
 
         if (k + 1) % stride == 0:
             record((k + 1) * dt, df, dpm, ld, li, xw, p)
+            if f_hz[-1] < stop:
+                break
 
+    if not math.isfinite(df + dpm + ld + li + xw + p):
+        taus = [("system.pv.t_inv", pv.t_inv),
+                ("system.governor.t_gov", gov.t_gov)]
+        if droop_on:
+            taus.append(("controller.droop.t_lag", dcfg.t_lag))
+        if inertia_on:
+            taus += [("controller.inertia.t_lag", icfg.t_lag),
+                     ("controller.inertia.t_washout", icfg.t_washout)]
+        name, tau = min(taus, key=lambda item: item[1])
+        raise ValueError(
+            f"simulation diverged to a non-finite state: sim.dt ({dt} s) "
+            f"is too large for the fastest active time constant {name} "
+            f"({tau} s); classical RK4 needs dt / tau below about 2.785"
+        )
+    trace.cmd_min = c_lo
+    trace.cmd_max = c_hi
     _fill_rocof(trace, cfg)
     return trace
 

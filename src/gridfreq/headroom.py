@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .engine import SimConfig, run_simulation
-from .metrics import FrequencyMetrics, compute_frequency_metrics
+from .metrics import (FrequencyMetrics, _first_index_at_or_after,
+                      compute_frequency_metrics)
 from .scenario import Scenario, set_param, valid_param_paths
 
 
@@ -49,6 +50,14 @@ class HeadroomQuery:
 
 @dataclass
 class HeadroomResult:
+    """The answer plus how it was reached.
+
+    ``n_runs`` counts the simulations actually run. ``evaluations`` maps
+    every headroom whose nadir is known exactly to that nadir, whether it
+    was simulated or reused from a run no envelope limit touched; runs
+    stopped at the target crossing are counted but not recorded.
+    """
+
     headroom: float
     n_runs: int
     evaluations: dict[float, float] = field(default_factory=dict)
@@ -56,53 +65,106 @@ class HeadroomResult:
 
 def min_headroom_for_nadir(query: HeadroomQuery,
                            sim: SimConfig | None = None) -> HeadroomResult:
-    """Smallest headroom (within tolerance) whose nadir meets the target."""
+    """Smallest headroom (within tolerance) whose nadir meets the target.
+
+    The nadir here is the minimum sampled frequency after the event, the
+    load-shedding meaning of the target. Two shortcuts leave every answer
+    bit-identical to plain bisection over full runs:
+
+    * A run whose requested commands stayed inside its own envelope never
+      touched the headroom limits, so every headroom whose envelope also
+      contains that command range gives the same trace; its nadir is reused
+      without simulating.
+    * Where only the pass/fail bit is needed, a run stops at the first
+      sample below the target.
+    """
+    target = query.target_nadir_hz
     evaluations: dict[float, float] = {}
+    # (cmd_min, cmd_max, nadir) of completed runs inside their envelope.
+    free_runs: list[tuple[float, float, float]] = []
+    n_runs = 0
+
+    def evaluate(h: float, stop_below_hz: float | None) -> float:
+        nonlocal n_runs
+        s = set_param(query.scenario, "system.pv.headroom", h)
+        pv = s.system.pv
+        for c_lo, c_hi, value in free_runs:
+            if pv.down_limit <= c_lo and c_hi <= pv.up_limit:
+                evaluations[h] = value
+                return value
+        n_runs += 1
+        trace = run_simulation(s, controller=query.controller, sim=sim,
+                               stop_below_hz=stop_below_hz)
+        start = _first_index_at_or_after(trace.t, s.contingency.t_event)
+        value = min(trace.f_hz[start:])
+        if stop_below_hz is not None and value < stop_below_hz:
+            return value  # stopped at the crossing: only a lower bound
+        evaluations[h] = value
+        if pv.down_limit <= trace.cmd_min and trace.cmd_max <= pv.up_limit:
+            free_runs.append((trace.cmd_min, trace.cmd_max, value))
+        return value
 
     def nadir(h: float) -> float:
         if h not in evaluations:
-            s = set_param(query.scenario, "system.pv.headroom", h)
-            trace = run_simulation(s, controller=query.controller, sim=sim)
-            m = compute_frequency_metrics(
-                trace, s.contingency.t_event, f0=s.system.f0)
-            evaluations[h] = m.nadir_hz
+            evaluate(h, None)
         return evaluations[h]
 
-    h_star = bisect_min_headroom(nadir, query.target_nadir_hz,
-                                 query.h_max, query.tolerance)
-    return HeadroomResult(headroom=h_star, n_runs=len(evaluations),
+    def meets(h: float) -> bool:
+        if h in evaluations:
+            return evaluations[h] >= target
+        return evaluate(h, target) >= target
+
+    h_star = bisect_min_headroom(nadir, target, query.h_max,
+                                 query.tolerance, meets=meets)
+    return HeadroomResult(headroom=h_star, n_runs=n_runs,
                           evaluations=dict(evaluations))
 
 
 def bisect_min_headroom(nadir: Callable[[float], float], target: float,
-                        h_max: float, tolerance: float) -> float:
+                        h_max: float, tolerance: float,
+                        meets: Callable[[float], bool] | None = None,
+                        ) -> float:
     """Bisection core over a memo-friendly nadir function.
 
-    Probes {0, h_max/2, h_max} for monotonicity, then bisects the bracket
-    [largest h below target, smallest h at/above target].
+    Probes {h_max, h_max/2, 0} for monotonicity, then bisects the bracket
+    [largest h below target, smallest h at/above target]. ``meets(h)``
+    answers only whether the nadir at ``h`` reaches the target (default:
+    ``nadir(h) >= target``); it serves the bisection midpoints and, once
+    h_max/2 meets the target, the h = 0 probe, where any failing nadir is
+    below h_max/2's and so cannot break monotonicity.
     """
-    probe = [0.0, h_max / 2.0, h_max]
-    values = [nadir(h) for h in probe]
-    if not (values[0] <= values[1] + 1e-9 and values[1] <= values[2] + 1e-9):
+    if meets is None:
+        def meets(h: float) -> bool:
+            return nadir(h) >= target
+
+    top = nadir(h_max)
+    middle = nadir(h_max / 2.0)
+    bottom: float | None = None
+    if middle < target or meets(0.0):
+        bottom = nadir(0.0)
+    if not ((bottom is None or bottom <= middle + 1e-9)
+            and middle <= top + 1e-9):
+        shown = "below target" if bottom is None else f"{bottom:.4f}"
         raise NonMonotoneError(
             "nadir is not non-decreasing in headroom over "
-            f"{probe}: {[f'{v:.4f}' for v in values]}"
+            f"[0.0, {h_max / 2.0}, {h_max}]: "
+            f"[{shown}, {middle:.4f}, {top:.4f}]"
         )
-    if values[0] >= target:
+    if bottom is not None and bottom >= target:
         return 0.0
-    if values[2] < target:
+    if top < target:
         raise UnattainableError(
-            f"nadir at h_max={h_max} is {values[2]:.4f} Hz, below the "
+            f"nadir at h_max={h_max} is {top:.4f} Hz, below the "
             f"target {target:.4f} Hz"
         )
     lo, hi = 0.0, h_max
-    if values[1] >= target:
-        hi = probe[1]
+    if middle >= target:
+        hi = h_max / 2.0
     else:
-        lo = probe[1]
+        lo = h_max / 2.0
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        if nadir(mid) >= target:
+        if meets(mid):
             hi = mid
         else:
             lo = mid

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -137,6 +138,8 @@ class TestHeadroom:
         assert code == 0
         out = capsys.readouterr().out
         assert "minimum headroom" in out
+        assert re.search(r"\((\d+) simulation runs, (\d+) headroom values\)",
+                         out)
 
     def test_unattainable_exits_2(self, capsys):
         code = run_cli("headroom", "--preset", "ercot80", "--controller",

@@ -239,6 +239,89 @@ class TestRunSimulation:
         diffs = {round(b - a, 9) for a, b in zip(trace.t, trace.t[1:])}
         assert diffs == {0.05}
 
+    def test_non_finite_run_raises_naming_dt_and_time_constant(self):
+        # dt = 0.1 s against the 0.02 s inertia lag: |lambda| * dt = 5,
+        # past classical RK4's real-axis stability limit.
+        s = preset_scenario("ei80", controller="combined")
+        sim = SimConfig(dt=0.1, sample_interval=0.1)
+        with pytest.raises(ValueError,
+                           match=r"sim\.dt.*controller\.inertia\.t_lag"):
+            run_simulation(s, sim=sim)
+
+
+TRACE_LISTS = ("t", "f_hz", "rocof_hz_per_s", "dp_gov_pu", "dp_pv_pu",
+               "dp_pv_droop_pu", "dp_pv_inertia_pu")
+
+
+def same_lists(a, b):
+    return all(getattr(a, name) == getattr(b, name) for name in TRACE_LISTS)
+
+
+class TestCommandRange:
+    @pytest.mark.parametrize("rate_limit,clamp", [(None, False),
+                                                  (0.5, False),
+                                                  (0.5, True)])
+    def test_runs_inside_the_range_are_identical(self, rate_limit, clamp):
+        s = preset_scenario("ercot80", controller="combined")
+        s = set_param(s, "system.pv.rate_limit", rate_limit)
+        s = set_param(s, "controller.inertia.recovery_clamp", clamp)
+        ref_s = set_param(s, "system.pv.headroom", 0.5)
+        ref = run_simulation(ref_s)
+        pv = ref_s.system.pv
+        assert pv.down_limit <= ref.cmd_min <= 0.0 < ref.cmd_max \
+            <= pv.up_limit
+        # Headrooms whose envelope contains [cmd_min, cmd_max]; the plant
+        # has available_power 1, so up_limit == headroom.
+        for h in (ref.cmd_max, 0.1, 0.3, 1.0 + ref.cmd_min - 1e-9):
+            other = run_simulation(set_param(s, "system.pv.headroom", h))
+            assert same_lists(other, ref), h
+            assert (other.cmd_min, other.cmd_max) == (ref.cmd_min,
+                                                      ref.cmd_max)
+
+    def test_headroom_below_the_range_changes_the_run(self):
+        s = preset_scenario("ercot80", controller="combined")
+        ref = run_simulation(set_param(s, "system.pv.headroom", 0.5))
+        h = ref.cmd_max * (1.0 - 1e-3)
+        clipped_s = set_param(s, "system.pv.headroom", h)
+        clipped = run_simulation(clipped_s)
+        assert clipped.f_hz != ref.f_hz
+        assert min(clipped.f_hz) < min(ref.f_hz)
+        # the range is taken before the clamp, so it shows the limit bound
+        assert clipped.cmd_max > clipped_s.system.pv.up_limit
+
+    def test_no_controller_requests_nothing(self):
+        trace = run_simulation(preset_scenario("ei80"))
+        assert (trace.cmd_min, trace.cmd_max) == (0.0, 0.0)
+
+
+class TestStopBelow:
+    def test_stopped_trace_is_a_prefix_ending_at_the_crossing(self):
+        s = set_param(preset_scenario("ercot80", controller="combined"),
+                      "system.pv.headroom", 0.02)
+        full = run_simulation(s)
+        stopped = run_simulation(s, stop_below_hz=59.5)
+        n = len(stopped)
+        assert 1 < n < len(full)
+        for name in TRACE_LISTS:
+            assert getattr(stopped, name) == getattr(full, name)[:n]
+        assert stopped.f_hz[-1] < 59.5
+        assert min(stopped.f_hz[:-1]) >= 59.5
+
+    @pytest.mark.parametrize("kind", ["none", "combined"])
+    def test_run_that_never_crosses_is_unchanged(self, kind):
+        s = preset_scenario("ercot80", controller=kind)
+        full = run_simulation(s, sim=SimConfig(t_end=20.0))
+        stopped = run_simulation(s, sim=SimConfig(t_end=20.0),
+                                 stop_below_hz=min(full.f_hz))
+        assert same_lists(stopped, full)
+        assert (stopped.cmd_min, stopped.cmd_max) == (full.cmd_min,
+                                                      full.cmd_max)
+
+    def test_threshold_above_nominal_keeps_only_the_first_sample(self):
+        s = preset_scenario("ei80", controller="droop")
+        stopped = run_simulation(s, stop_below_hz=61.0)
+        assert stopped.t == [0.0] and stopped.f_hz == [60.0]
+
 
 class TestSimConfigValidation:
     def test_sample_interval_must_be_multiple_of_dt(self):

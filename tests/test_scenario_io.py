@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -250,6 +251,38 @@ class TestMetricsCsv:
         rows = read_metrics_csv(io.StringIO(sink.getvalue()))
         assert [(s, c) for s, c, _ in rows] == names
         assert all(r[2] == m for r in rows)
+
+    def test_roundtrip_bare_carriage_return(self, tmp_path):
+        m = FrequencyMetrics(nadir_hz=59.5, nadir_time_s=2.0,
+                             max_abs_rocof_hz_per_s=0.5,
+                             settling_freq_hz=59.8)
+        names = [("a\rb", "droop"), ("c\r\nd", "x\r")]
+        sink = io.StringIO()
+        write_metrics_csv([(s, c, m) for s, c in names], sink)
+        rows = read_metrics_csv(io.StringIO(sink.getvalue()))
+        assert [(s, c) for s, c, _ in rows] == names
+        path = tmp_path / "metrics.csv"
+        with open(path, "w", newline="") as out:
+            write_metrics_csv([(s, c, m) for s, c in names], out)
+        with open(path, newline="") as source:
+            rows = read_metrics_csv(source)
+        assert [(s, c) for s, c, _ in rows] == names
+
+    def test_plain_names_match_csv_module_bytes(self):
+        m = FrequencyMetrics(nadir_hz=59.5, nadir_time_s=2.0,
+                             max_abs_rocof_hz_per_s=0.5,
+                             settling_freq_hz=59.8)
+        names = [("bench-0", "droop"), ("", "none"), ("a b\t'c'", "x,y"),
+                 ('q"', "line\nbreak")]
+        sink = io.StringIO()
+        write_metrics_csv([(s, c, m) for s, c in names], sink)
+        expected = io.StringIO()
+        expected.write(METRICS_HEADER + "\n")
+        writer = csv.writer(expected, lineterminator="\n")
+        for s, c in names:
+            writer.writerow((s, c, "59.500000", "2.000000", "0.500000",
+                             "59.800000"))
+        assert sink.getvalue() == expected.getvalue()
 
 
 class TestSchema:

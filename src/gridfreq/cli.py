@@ -112,13 +112,8 @@ def _cmd_compliance(args: argparse.Namespace) -> int:
             "droop|inertia|combined"
         )
     thresholds = ComplianceThresholds(
-        step_magnitude=args.step_magnitude,
-        max_reaction=args.max_reaction,
-        max_rise=args.max_rise,
-        max_settling=args.max_settling,
-        max_overshoot=args.max_overshoot,
-        settling_band=args.settling_band,
-    )
+        **{f.name: getattr(args, f.name)
+           for f in dataclasses.fields(ComplianceThresholds)})
     sim = dataclasses.replace(scenario.sim, t_end=args.t_end)
     response = run_step_test(scenario.controller, scenario.system.pv,
                              thresholds, sim=sim)
@@ -198,20 +193,19 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="JSON report path")
     p.add_argument("--t-end", type=float, default=20.0,
                    help="test horizon in seconds (default 20)")
-    p.add_argument("--step-magnitude", type=float, default=0.002)
-    p.add_argument("--max-reaction", type=float, default=0.5)
-    p.add_argument("--max-rise", type=float, default=4.0)
-    p.add_argument("--max-settling", type=float, default=10.0)
-    p.add_argument("--max-overshoot", type=float, default=0.05)
-    p.add_argument("--settling-band", type=float, default=0.025)
+    # --step-magnitude, --max-reaction, ... --settling-band
+    for f in dataclasses.fields(ComplianceThresholds):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float,
+                       default=f.default)
     p.set_defaults(func=_cmd_compliance)
 
     p = sub.add_parser("headroom", help="size headroom for a nadir target")
     _add_scenario_args(p)
     p.add_argument("--target", type=float, required=True,
                    help="nadir target in Hz, e.g. 59.5")
-    p.add_argument("--h-max", type=float, default=0.5)
-    p.add_argument("--tolerance", type=float, default=0.001)
+    defaults = {f.name: f.default for f in dataclasses.fields(HeadroomQuery)}
+    p.add_argument("--h-max", type=float, default=defaults["h_max"])
+    p.add_argument("--tolerance", type=float, default=defaults["tolerance"])
     p.set_defaults(func=_cmd_headroom)
 
     p = sub.add_parser("sweep", help="metrics over one parameter range")

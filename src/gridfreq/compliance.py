@@ -9,13 +9,14 @@ interconnection performance guidance, not normative figures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from .engine import SimConfig, _as_steps, _event_step
 from .metrics import (NoResponseError, NotSettledError, StepResponseMetrics,
                       compute_step_response_metrics)
-from .pv import ControllerSpec, PVPlant, PVPlantConfig, make_controller
+from .pv import ControllerSpec, PVPlantConfig, make_controller
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,14 @@ def run_step_test(controller_spec: ControllerSpec,
                   sim: SimConfig | None = None,
                   step_time: float = 1.0) -> StepResponse:
     """Drive the controller with an underfrequency step and record the
-    plant output (plant pu) over the horizon."""
+    plant output (plant pu, before system-base scaling) over the horizon.
+
+    One zero-order-hold loop: each step holds the frequency deviation,
+    advances the controller, clamps the command into [down_limit,
+    up_limit], limits its change to +/- rate_limit * dt when a rate limit
+    is set, and advances the inverter lag. The step switches on at the
+    first step boundary at or after ``step_time``.
+    """
     if controller_spec.kind == "none":
         raise ValueError(
             "controller kind 'none' has no response to test; choose "
@@ -96,23 +104,36 @@ def run_step_test(controller_spec: ControllerSpec,
         )
     thr = thresholds or ComplianceThresholds()
     cfg = sim or SimConfig(t_end=20.0)
-    controller = make_controller(controller_spec)
-    plant = PVPlant(plant_cfg)
-
     dt = cfg.dt
     n_steps = _as_steps(cfg.t_end, dt, "t_end")
     stride = _as_steps(cfg.sample_interval, dt, "sample_interval")
     k_step = _event_step(step_time, dt)
+    if k_step >= n_steps:
+        raise ValueError(
+            f"sim.t_end ({cfg.t_end}) must exceed step_time ({step_time}) "
+            f"by at least sim.dt ({dt}), or the step is never applied"
+        )
+    controller = make_controller(controller_spec, dt)
+    lo = plant_cfg.down_limit
+    hi = plant_cfg.up_limit
+    rate_limit = plant_cfg.rate_limit
+    max_delta = rate_limit * dt if rate_limit is not None else 0.0
+    a_inv = -math.expm1(-dt / plant_cfg.t_inv)
+    df_step = -thr.step_magnitude
 
+    prev = 0.0
+    y = 0.0
     t_list = [0.0]
     y_list = [0.0]
     for k in range(n_steps):
-        delta_f = -thr.step_magnitude if k >= k_step else 0.0
-        cmd = controller.step(delta_f, dt)
-        plant.step(cmd, dt)
+        cmd = min(max(controller(df_step if k >= k_step else 0.0), lo), hi)
+        if rate_limit is not None:
+            cmd = min(max(cmd, prev - max_delta), prev + max_delta)
+            prev = cmd
+        y += (cmd - y) * a_inv
         if (k + 1) % stride == 0:
             t_list.append((k + 1) * dt)
-            y_list.append(plant.output_plant_pu)
+            y_list.append(y)
     return StepResponse(t=t_list, y=y_list, step_time=step_time,
                         step_magnitude=thr.step_magnitude)
 

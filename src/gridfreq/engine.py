@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from .pv import validate_kind
+
 if TYPE_CHECKING:
     from .scenario import Scenario
 
@@ -103,8 +105,6 @@ def run_simulation(scenario: "Scenario", controller: str | None = None,
     raises ``ValueError`` naming ``sim.dt`` and the fastest active time
     constant.
     """
-    from .pv import validate_kind
-
     kind = validate_kind(controller if controller is not None
                          else scenario.controller.kind)
     cfg = sim if sim is not None else scenario.sim

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .engine import SimConfig, Trace, run_simulation
+from .pv import CONTROLLER_KINDS
 
 if TYPE_CHECKING:
     from .scenario import Scenario
-
-#: Fixed reporting order for controller comparisons.
-COMPARE_ORDER = ("none", "droop", "inertia", "combined")
 
 REACTION_FRACTION = 0.02
 RISE_FRACTIONS = (0.1, 0.9)
@@ -178,7 +176,7 @@ def compare_controllers(scenario: "Scenario",
     combined; repeated invocations produce identical tables.
     """
     table: dict[str, FrequencyMetrics] = {}
-    for kind in COMPARE_ORDER:
+    for kind in CONTROLLER_KINDS:
         trace = run_simulation(scenario, controller=kind, sim=sim)
         table[kind] = compute_frequency_metrics(
             trace, scenario.contingency.t_event, f0=scenario.system.f0)

@@ -1,4 +1,4 @@
-"""PV plant frequency controllers and the plant output envelope.
+"""PV plant frequency controllers: configuration and the discrete controller.
 
 Three controller topologies are supported:
 
@@ -7,17 +7,24 @@ Three controller topologies are supported:
                  inertia response proportional to -d(delta_f)/dt.
 * combined    -- the sum of the droop and inertia paths.
 
-Commands are in plant per-unit on the nameplate base (P_min = 0, P_max = 1
-times available power). The plant envelope clamps commands into the headroom
-band, optionally rate-limits them, applies the inverter lag, and scales to
-the system base.
+The deadband is offset-style (zero inside the band, shifted linear outside),
+so commands never jump at the band edge. Commands are in plant per-unit on
+the nameplate base (P_min = 0, P_max = 1 times available power). The plant
+envelope clamps commands into the headroom band, optionally rate-limits
+them, applies the inverter lag, and scales to the system base.
+
+``make_controller`` is the discrete controller of the open-loop compliance
+test, which runs it and the plant envelope in one loop
+(``compliance.run_step_test``). Its lags and washout use the exact
+zero-order-hold update, so a held input reproduces the continuous response
+at the sample instants for any step size. The closed-loop engine integrates
+the same paths as continuous states with RK4.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from .blocks import Deadband, FirstOrderLag, LimitSpec, Washout
 
 CONTROLLER_KINDS = ("none", "droop", "inertia", "combined")
 
@@ -123,10 +130,6 @@ class PVPlantConfig:
         """Largest downward command in plant pu (curtail to zero)."""
         return -self.operating_point
 
-    def limits(self) -> LimitSpec:
-        return LimitSpec(up_limit=self.up_limit, down_limit=self.down_limit,
-                         rate_limit=self.rate_limit)
-
 
 @dataclass(frozen=True)
 class ControllerSpec:
@@ -140,93 +143,66 @@ class ControllerSpec:
         validate_kind(self.kind)
 
 
-class DroopController:
-    """Deadband -> lag -> gain. Output opposes the frequency deviation:
-    a steady deviation df beyond the band settles to -(df -/+ band)/r."""
+def make_controller(spec: ControllerSpec, dt: float):
+    """Discrete controller for a fixed step ``dt``: returns a
+    ``step(delta_f) -> cmd`` closure holding the three filter states.
 
-    def __init__(self, cfg: DroopConfig):
-        self.cfg = cfg
-        self._db = Deadband(cfg.deadband)
-        self._lag = FirstOrderLag(cfg.t_lag)
-
-    def step(self, delta_f: float, dt: float) -> float:
-        return -self._lag.step(self._db.apply(delta_f), dt) / self.cfg.r
-
-
-class InertiaController:
-    """Deadband -> lag -> gain -> washout. Once the filters settle the
-    output approximates -k * d(delta_f)/dt.
-
-    With ``recovery_clamp`` on, output whose sign would oppose arresting the
-    event is zeroed: clamped to >= 0 while delta_f < 0 and <= 0 while
-    delta_f > 0, so the plant never withdraws support during recovery.
+    Each call holds ``delta_f`` for one step and returns the sampled
+    post-update command in plant pu. Droop: deadband -> lag -> -1/r, so a
+    steady deviation df beyond the band settles to -(df -/+ band)/r.
+    Inertia: deadband -> lag -> gain k -> washout (output (u - x)/T), which
+    settles to -k * d(delta_f)/dt on a ramp. With ``recovery_clamp`` on,
+    inertia output whose sign would oppose arresting the event is zeroed:
+    clamped to >= 0 while delta_f < 0 and <= 0 while delta_f > 0. Combined
+    is the droop command plus the inertia command; kind ``"none"`` has both
+    paths off and returns 0.0.
     """
+    kind = validate_kind(spec.kind)
+    droop_on = kind in ("droop", "combined")
+    inertia_on = kind in ("inertia", "combined")
+    dcfg = spec.droop
+    icfg = spec.inertia
+    r = dcfg.r
+    db_d = dcfg.deadband
+    a_d = -math.expm1(-dt / dcfg.t_lag)
+    k = icfg.k
+    db_i = icfg.deadband
+    a_i = -math.expm1(-dt / icfg.t_lag)
+    t_w = icfg.t_washout
+    e_w = math.exp(-dt / t_w)
+    clamp = icfg.recovery_clamp
+    y_d = y_i = x_w = 0.0
 
-    def __init__(self, cfg: InertiaConfig):
-        self.cfg = cfg
-        self._db = Deadband(cfg.deadband)
-        self._lag = FirstOrderLag(cfg.t_lag)
-        self._wash = Washout(cfg.t_washout)
-
-    def step(self, delta_f: float, dt: float) -> float:
-        filtered = self._lag.step(self._db.apply(delta_f), dt)
-        cmd = -self._wash.step(self.cfg.k * filtered, dt)
-        if self.cfg.recovery_clamp:
-            if delta_f < 0.0:
-                cmd = max(cmd, 0.0)
-            elif delta_f > 0.0:
-                cmd = min(cmd, 0.0)
+    def step(delta_f: float) -> float:
+        nonlocal y_d, y_i, x_w
+        cmd = 0.0
+        if droop_on:
+            if delta_f > db_d:
+                u = delta_f - db_d
+            elif delta_f < -db_d:
+                u = delta_f + db_d
+            else:
+                u = 0.0
+            y_d += (u - y_d) * a_d
+            cmd = -y_d / r
+        if inertia_on:
+            if delta_f > db_i:
+                u = delta_f - db_i
+            elif delta_f < -db_i:
+                u = delta_f + db_i
+            else:
+                u = 0.0
+            y_i += (u - y_i) * a_i
+            u_w = k * y_i
+            x_w = u_w + (x_w - u_w) * e_w
+            c_i = -((u_w - x_w) / t_w)
+            if clamp:
+                if delta_f < 0.0:
+                    c_i = max(c_i, 0.0)
+                elif delta_f > 0.0:
+                    c_i = min(c_i, 0.0)
+            # 0.0 + c_i would turn a -0.0 command into 0.0
+            cmd = cmd + c_i if droop_on else c_i
         return cmd
 
-
-class CombinedController:
-    """Sum of an independent droop path and an independent inertia path."""
-
-    def __init__(self, droop_cfg: DroopConfig, inertia_cfg: InertiaConfig):
-        self.droop = DroopController(droop_cfg)
-        self.inertia = InertiaController(inertia_cfg)
-
-    def step(self, delta_f: float, dt: float) -> float:
-        return self.droop.step(delta_f, dt) + self.inertia.step(delta_f, dt)
-
-
-class ZeroController:
-    """No frequency response (the default PV behaviour)."""
-
-    def step(self, delta_f: float, dt: float) -> float:
-        return 0.0
-
-
-def make_controller(spec: ControllerSpec):
-    """Instantiate the controller selected by ``spec.kind``."""
-    kind = validate_kind(spec.kind)
-    if kind == "none":
-        return ZeroController()
-    if kind == "droop":
-        return DroopController(spec.droop)
-    if kind == "inertia":
-        return InertiaController(spec.inertia)
-    return CombinedController(spec.droop, spec.inertia)
-
-
-class PVPlant:
-    """Plant envelope: headroom/curtailment clamp, optional rate limit,
-    inverter lag, and scaling from plant to system base."""
-
-    def __init__(self, cfg: PVPlantConfig):
-        self.cfg = cfg
-        self._limits = cfg.limits()
-        self._lag = FirstOrderLag(cfg.t_inv)
-        self._prev = 0.0
-
-    @property
-    def output_plant_pu(self) -> float:
-        """Current output deviation in plant pu (post inverter lag)."""
-        return self._lag.y
-
-    def step(self, cmd: float, dt: float) -> float:
-        """Apply the envelope to ``cmd`` (plant pu) and advance the inverter
-        lag; returns the plant output deviation in system pu."""
-        limited = self._limits.apply(cmd, self._prev, dt)
-        self._prev = limited
-        return self.cfg.c_pv * self._lag.step(limited, dt)
+    return step

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridfreq.blocks import Deadband, FirstOrderLag, LimitSpec, Washout
+from zoh_reference import Deadband, FirstOrderLag, LimitSpec, Washout
 
 
 class TestDeadband:

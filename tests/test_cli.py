@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
-from gridfreq.cli import main
+from gridfreq.cli import build_parser, main
+from gridfreq.compliance import ComplianceThresholds
 from gridfreq.csvio import METRICS_HEADER, TRACE_HEADER
 
 
@@ -128,6 +130,22 @@ class TestCompliance:
                        "droop", "--set", "controller.droop.deadband=0.0",
                        "--max-rise", "0.01")
         assert code == 3
+
+
+    @pytest.mark.parametrize("t_end", ["0.5", "1.0"])
+    def test_horizon_before_step_exits_1(self, t_end, capsys):
+        code = run_cli("compliance", "--preset", "ei80", "--controller",
+                       "droop", "--t-end", t_end)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sim.t_end" in err and "step_time" in err
+
+    def test_threshold_defaults_are_the_dataclass_defaults(self):
+        args = build_parser().parse_args(["compliance", "--preset", "ei80"])
+        defaults = ComplianceThresholds()
+        for f in dataclasses.fields(ComplianceThresholds):
+            assert getattr(args, f.name) == getattr(defaults, f.name), \
+                f.name
 
 
 class TestHeadroom:

@@ -1,13 +1,17 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import gridfreq.compliance
 from gridfreq.compliance import (ComplianceThresholds, StepResponse,
                                  evaluate_compliance, format_report,
                                  run_step_test)
 from gridfreq.engine import SimConfig
 from gridfreq.pv import (ControllerSpec, DroopConfig, InertiaConfig,
                          PVPlantConfig)
+from zoh_reference import reference_step_test
 
 
 def droop_spec(r=0.05, deadband=0.0, t_lag=0.2):
@@ -61,6 +65,99 @@ class TestRunStepTest:
         # demand 0.04 exceeds 0.03 headroom: response saturates there
         resp = run_step_test(droop_spec(), PVPlantConfig(headroom=0.03))
         assert resp.y[-1] == pytest.approx(0.03, abs=1e-9)
+
+
+    @pytest.mark.parametrize("t_end", [0.5, 1.0])
+    def test_horizon_without_the_step_rejected(self, t_end):
+        with pytest.raises(ValueError,
+                           match=r"sim\.t_end .* step_time \(1\.0\)"):
+            run_step_test(droop_spec(), PVPlantConfig(headroom=0.1),
+                          sim=SimConfig(t_end=t_end))
+
+    def test_off_grid_step_needs_one_step_of_horizon(self):
+        plant = PVPlantConfig(headroom=0.1)
+        sim = SimConfig(t_end=1.0, sample_interval=0.005)
+        # 0.997 starts at the step boundary t = 1.0, the horizon's end
+        with pytest.raises(ValueError, match="step_time"):
+            run_step_test(droop_spec(), plant, sim=sim, step_time=0.997)
+        resp = run_step_test(droop_spec(), plant, sim=sim,
+                             step_time=0.994)
+        assert resp.y[-2] == 0.0 < resp.y[-1]
+
+    def test_builds_one_controller_per_test(self, monkeypatch):
+        # The benchmark's tracer times the controller layer by wrapping
+        # this module attribute; a test that bypassed it would read 0.
+        calls = []
+        real = gridfreq.compliance.make_controller
+
+        def counting(spec, dt):
+            calls.append(dt)
+            return real(spec, dt)
+
+        monkeypatch.setattr(gridfreq.compliance, "make_controller",
+                            counting)
+        run_step_test(droop_spec(), PVPlantConfig(headroom=0.1),
+                      sim=SimConfig(t_end=2.0))
+        assert calls == [0.005]
+
+
+def _bands():
+    # zero, inside the 0.0015-0.003 step, and wider than it
+    return st.one_of(st.just(0.0), st.floats(0.0, 0.004))
+
+
+@st.composite
+def step_cases(draw):
+    dt = draw(st.sampled_from([0.001, 0.005, 0.01]))
+    stride = draw(st.integers(1, 4))
+    step_time = draw(st.floats(0.0, 1.0))
+    first = math.ceil((step_time + dt) / (stride * dt))
+    t_end = stride * dt * (first + draw(st.integers(0, 300)))
+    spec = ControllerSpec(
+        kind=draw(st.sampled_from(["droop", "inertia", "combined"])),
+        droop=DroopConfig(r=draw(st.floats(0.02, 0.1)),
+                          deadband=draw(_bands()),
+                          t_lag=draw(st.floats(0.01, 1.0))),
+        inertia=InertiaConfig(k=draw(st.floats(0.0, 15.0)),
+                              deadband=draw(_bands()),
+                              t_lag=draw(st.floats(0.01, 0.2)),
+                              t_washout=draw(st.floats(0.02, 0.5)),
+                              recovery_clamp=draw(st.booleans())))
+    plant = PVPlantConfig(
+        headroom=draw(st.floats(0.0, 0.3)),
+        t_inv=draw(st.floats(0.01, 0.3)),
+        rate_limit=draw(st.one_of(st.none(), st.floats(0.01, 1.0))))
+    thresholds = ComplianceThresholds(
+        step_magnitude=draw(st.floats(0.0015, 0.003)))
+    sim = SimConfig(dt=dt, t_end=t_end, sample_interval=stride * dt)
+    return spec, plant, thresholds, sim, step_time
+
+
+_COMBINED = ControllerSpec(
+    kind="combined", droop=DroopConfig(deadband=0.001),
+    inertia=InertiaConfig(deadband=0.0025, recovery_clamp=True))
+
+
+class TestOracleDifferential:
+    """The one-loop test equals the block-per-object reference bit for
+    bit: same float operations in the same order."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(step_cases())
+    @example((_COMBINED, PVPlantConfig(headroom=0.02, rate_limit=0.05),
+              ComplianceThresholds(), SimConfig(t_end=6.0,
+                                                sample_interval=0.02),
+              0.9973))
+    @example((ControllerSpec(kind="inertia"), PVPlantConfig(),
+              ComplianceThresholds(), SimConfig(t_end=3.0), 1.0))
+    def test_equals_reference(self, case):
+        spec, plant, thresholds, sim, step_time = case
+        got = run_step_test(spec, plant, thresholds, sim, step_time)
+        want = reference_step_test(spec, plant, thresholds, sim, step_time)
+        assert got.t == want.t
+        assert got.y == want.y
+        assert (got.step_time, got.step_magnitude) == (
+            want.step_time, want.step_magnitude)
 
 
 class TestEvaluateCompliance:

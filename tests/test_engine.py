@@ -4,9 +4,9 @@ import pytest
 
 from gridfreq.engine import SimConfig, run_simulation
 from gridfreq.metrics import compute_frequency_metrics
-from gridfreq.pv import CombinedController, DroopController, PVPlant
 from gridfreq.scenario import (preset_scenario, scenario_from_dict,
                                set_param)
+from zoh_reference import CombinedController, DroopController, PVPlant
 
 
 def d_only_scenario(dp=0.02, h_sys=3.0):

@@ -3,11 +3,11 @@ import math
 import pytest
 
 from gridfreq.engine import SimConfig, Trace
-from gridfreq.metrics import (COMPARE_ORDER, NoResponseError,
-                              NotSettledError, compare_controllers,
-                              compute_frequency_metrics,
+from gridfreq.metrics import (NoResponseError, NotSettledError,
+                              compare_controllers, compute_frequency_metrics,
                               compute_step_response_metrics, initial_rocof,
                               max_abs_rocof_within)
+from gridfreq.pv import CONTROLLER_KINDS
 from gridfreq.scenario import preset_scenario
 
 
@@ -171,7 +171,7 @@ class TestCompareControllers:
         sim = SimConfig(t_end=30.0)
         t1 = compare_controllers(s, sim=sim)
         t2 = compare_controllers(s, sim=sim)
-        assert tuple(t1) == COMPARE_ORDER
+        assert tuple(t1) == CONTROLLER_KINDS
         assert t1 == t2
 
     def test_droop_improves_nadir(self):

@@ -17,6 +17,7 @@ from .metrics import FrequencyMetrics
 
 TRACE_HEADER = ("t_s,f_hz,rocof_hz_per_s,dp_gov_pu,dp_pv_pu,"
                 "dp_pv_droop_pu,dp_pv_inertia_pu")
+_TRACE_ROW = ",".join(["%.6f"] * 7) + "\n"
 METRICS_HEADER = ("scenario,controller,nadir_hz,nadir_time_s,"
                   "max_abs_rocof_hz_per_s,settling_freq_hz")
 
@@ -37,12 +38,12 @@ def _text_field(text: str) -> str:
 def write_trace_csv(trace: Trace, sink: TextIO) -> None:
     """Write one row per sample with the fixed trace header."""
     sink.write(TRACE_HEADER + "\n")
-    for i in range(len(trace)):
-        sink.write(",".join((
-            _fmt(trace.t[i]), _fmt(trace.f_hz[i]),
-            _fmt(trace.rocof_hz_per_s[i]), _fmt(trace.dp_gov_pu[i]),
-            _fmt(trace.dp_pv_pu[i]), _fmt(trace.dp_pv_droop_pu[i]),
-            _fmt(trace.dp_pv_inertia_pu[i]))) + "\n")
+    # One format per row; each value is canonicalized as in _fmt.
+    for t, f, rocof, gov, pv, droop, inertia in zip(
+            trace.t, trace.f_hz, trace.rocof_hz_per_s, trace.dp_gov_pu,
+            trace.dp_pv_pu, trace.dp_pv_droop_pu, trace.dp_pv_inertia_pu):
+        sink.write(_TRACE_ROW % (t + 0.0, f + 0.0, rocof + 0.0, gov + 0.0,
+                                 pv + 0.0, droop + 0.0, inertia + 0.0))
 
 
 def read_trace_csv(source: TextIO) -> Trace:

@@ -9,6 +9,19 @@ governor reserve clamp and the optional PV rate limiter) update once per
 full step. The contingency switches on at a step boundary, so the pre-event
 trajectory is exactly flat.
 
+The step loop is generated from one source template per controller
+variant: droop and inertia path on or off, recovery clamp on or off and
+rate limiter on or off, 12 variants in all. The template holds the stage
+right-hand side once and inlines it four times per step; a variant drops
+the lines of the elements it lacks, including the states of a path that is
+off, which stay exactly 0.0. Each variant is compiled on its first use and
+cached for the life of the process, so importing the package compiles
+none; its code object is named after the variant (for example
+``<gridfreq rk4 combined+clamp+rate>``), which tracebacks and profiles
+show. ``run_simulation`` validates the inputs, hoists the coefficients and
+calls the variant's loop. ``tests/engine_reference.py`` keeps the earlier
+closure form of the loop as the test oracle; the two agree bit for bit.
+
 Identical inputs produce bit-identical traces: the loop is plain scalar
 float arithmetic in a fixed order with no threading and no platform-varying
 reductions.
@@ -18,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .pv import validate_kind
 
@@ -36,6 +49,10 @@ class SimConfig:
     rocof_window: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("dt", "t_end", "sample_interval", "rocof_window"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_end <= 0.0:
@@ -117,197 +134,43 @@ def run_simulation(scenario: "Scenario", controller: str | None = None,
         )
 
     dt = cfg.dt
-    n_steps = _as_steps(cfg.t_end, dt, "t_end")
-    stride = _as_steps(cfg.sample_interval, dt, "sample_interval")
-    # Event switches on at the first step boundary at or after t_event.
-    k_event = _event_step(contingency.t_event, dt)
-
     droop_on = kind in ("droop", "combined")
     inertia_on = kind in ("inertia", "combined")
-
     dcfg = scenario.controller.droop
     icfg = scenario.controller.inertia
     pv = system.pv
     gov = system.governor
-
-    # Hoisted coefficients for the inner loop.
-    w_d = dcfg.deadband
-    inv_rd = 1.0 / dcfg.r
-    r_tld = 1.0 / dcfg.t_lag
-    w_i = icfg.deadband
-    k_i = icfg.k
-    r_tli = 1.0 / icfg.t_lag
-    r_tw = 1.0 / icfg.t_washout
-    clamp_on = icfg.recovery_clamp
-    r_tinv = 1.0 / pv.t_inv
-    c_pv = pv.c_pv
-    lo = pv.down_limit
-    hi = pv.up_limit
-    rate = pv.rate_limit
-    kappa_r = gov.kappa / gov.r_gov
-    r_tgov = 1.0 / gov.t_gov
-    reserve = gov.reserve_limit
-    d_load = system.d_load
-    r_2h = 1.0 / (2.0 * system.h_sys)
-    f0 = system.f0
+    kernel = _kernel(droop_on, inertia_on, icfg.recovery_clamp,
+                     pv.rate_limit is not None)
+    # The governor's discrete post-step clamp: its sign follows the event
+    # direction and its magnitude stays within the fleet reserve.
     dp = contingency.dp
-
-    # [lo_s, hi_s] is the step's command envelope (the rate limiter may
-    # narrow it each step) and [c_lo, c_hi] the range of commands requested
-    # before it. A stage whose request lies in [w_lo, w_hi], their
-    # intersection, changes neither, so one test serves both.
-    lo_s = lo
-    hi_s = hi
-    c_lo = c_hi = w_lo = w_hi = 0.0
-
-    def deriv(df: float, dpm: float, ld: float, li: float, xw: float,
-              p: float, dp_event: float):
-        nonlocal c_lo, c_hi, w_lo, w_hi
-        if droop_on:
-            if df > w_d:
-                u = df - w_d
-            elif df < -w_d:
-                u = df + w_d
-            else:
-                u = 0.0
-            d_ld = (u - ld) * r_tld
-            cmd = -ld * inv_rd
-        else:
-            d_ld = 0.0
-            cmd = 0.0
-        if inertia_on:
-            if df > w_i:
-                u = df - w_i
-            elif df < -w_i:
-                u = df + w_i
-            else:
-                u = 0.0
-            d_li = (u - li) * r_tli
-            d_xw = (k_i * li - xw) * r_tw
-            ci = -d_xw
-            if clamp_on:
-                if df < 0.0:
-                    if ci < 0.0:
-                        ci = 0.0
-                elif df > 0.0:
-                    if ci > 0.0:
-                        ci = 0.0
-            cmd += ci
-        else:
-            d_li = 0.0
-            d_xw = 0.0
-        if not w_lo <= cmd <= w_hi:
-            if cmd < c_lo:
-                c_lo = cmd
-            elif cmd > c_hi:
-                c_hi = cmd
-            w_lo = c_lo if c_lo > lo_s else lo_s
-            w_hi = c_hi if c_hi < hi_s else hi_s
-            if cmd < lo_s:
-                cmd = lo_s
-            elif cmd > hi_s:
-                cmd = hi_s
-        d_p = (cmd - p) * r_tinv
-        d_df = (dpm + c_pv * p - dp_event - d_load * df) * r_2h
-        d_dpm = (-kappa_r * df - dpm) * r_tgov
-        return d_df, d_dpm, d_ld, d_li, d_xw, d_p
-
-    def path_cmds(df: float, ld: float, li: float, xw: float):
-        """Per-path command requests at a sampled state (plant pu)."""
-        cmd_d = -ld * inv_rd if droop_on else 0.0
-        cmd_i = 0.0
-        if inertia_on:
-            cmd_i = -(k_i * li - xw) * r_tw
-            if clamp_on:
-                if df < 0.0:
-                    cmd_i = max(cmd_i, 0.0)
-                elif df > 0.0:
-                    cmd_i = min(cmd_i, 0.0)
-        return cmd_d, cmd_i
+    reserve = gov.reserve_limit
+    gov_lo = 0.0 if dp > 0.0 else -reserve
+    gov_hi = 0.0 if dp < 0.0 else reserve
 
     trace = Trace()
+    # Hoisted coefficients; the loop only reads them.
+    c_lo, c_hi, state_sum = kernel(
+        n_steps=_as_steps(cfg.t_end, dt, "t_end"),
+        stride=_as_steps(cfg.sample_interval, dt, "sample_interval"),
+        # The event switches on at the first step boundary at or after
+        # t_event.
+        k_event=_event_step(contingency.t_event, dt),
+        dt=dt,
+        stop=-math.inf if stop_below_hz is None else stop_below_hz,
+        w_d=dcfg.deadband, inv_rd=1.0 / dcfg.r, r_tld=1.0 / dcfg.t_lag,
+        w_i=icfg.deadband, k_i=icfg.k, r_tli=1.0 / icfg.t_lag,
+        r_tw=1.0 / icfg.t_washout, r_tinv=1.0 / pv.t_inv, c_pv=pv.c_pv,
+        lo=pv.down_limit, hi=pv.up_limit, rate=pv.rate_limit,
+        kappa_r=gov.kappa / gov.r_gov, r_tgov=1.0 / gov.t_gov,
+        gov_lo=gov_lo, gov_hi=gov_hi, d_load=system.d_load,
+        r_2h=1.0 / (2.0 * system.h_sys), f0=system.f0, dp=dp,
+        t_out=trace.t, f_out=trace.f_hz, gov_out=trace.dp_gov_pu,
+        pv_out=trace.dp_pv_pu, droop_out=trace.dp_pv_droop_pu,
+        inertia_out=trace.dp_pv_inertia_pu)
 
-    def record(t: float, df: float, dpm: float, ld: float, li: float,
-               xw: float, p: float) -> None:
-        cmd_d, cmd_i = path_cmds(df, ld, li, xw)
-        trace.t.append(t)
-        trace.f_hz.append(f0 * (1.0 + df))
-        trace.dp_gov_pu.append(dpm)
-        trace.dp_pv_pu.append(c_pv * p)
-        trace.dp_pv_droop_pu.append(c_pv * cmd_d)
-        trace.dp_pv_inertia_pu.append(c_pv * cmd_i)
-
-    df = dpm = ld = li = xw = p = 0.0
-    prev_cmd = 0.0
-    h2 = 0.5 * dt
-    dt6 = dt / 6.0
-
-    stop = -math.inf if stop_below_hz is None else stop_below_hz
-    f_hz = trace.f_hz
-    record(0.0, df, dpm, ld, li, xw, p)
-    if f_hz[-1] < stop:
-        n_steps = 0
-    for k in range(n_steps):
-        dp_event = dp if k >= k_event else 0.0
-        if rate is not None:
-            max_delta = rate * dt
-            lo_s = max(lo, prev_cmd - max_delta)
-            hi_s = min(hi, prev_cmd + max_delta)
-            w_lo = c_lo if c_lo > lo_s else lo_s
-            w_hi = c_hi if c_hi < hi_s else hi_s
-
-        a1, b1, c1, e1, g1, p1 = deriv(df, dpm, ld, li, xw, p, dp_event)
-        a2, b2, c2, e2, g2, p2 = deriv(df + h2 * a1, dpm + h2 * b1,
-                                       ld + h2 * c1, li + h2 * e1,
-                                       xw + h2 * g1, p + h2 * p1,
-                                       dp_event)
-        a3, b3, c3, e3, g3, p3 = deriv(df + h2 * a2, dpm + h2 * b2,
-                                       ld + h2 * c2, li + h2 * e2,
-                                       xw + h2 * g2, p + h2 * p2,
-                                       dp_event)
-        a4, b4, c4, e4, g4, p4 = deriv(df + dt * a3, dpm + dt * b3,
-                                       ld + dt * c3, li + dt * e3,
-                                       xw + dt * g3, p + dt * p3,
-                                       dp_event)
-        df += dt6 * (a1 + 2.0 * (a2 + a3) + a4)
-        dpm += dt6 * (b1 + 2.0 * (b2 + b3) + b4)
-        ld += dt6 * (c1 + 2.0 * (c2 + c3) + c4)
-        li += dt6 * (e1 + 2.0 * (e2 + e3) + e4)
-        xw += dt6 * (g1 + 2.0 * (g2 + g3) + g4)
-        p += dt6 * (p1 + 2.0 * (p2 + p3) + p4)
-
-        # Discrete post-step clamps: governor sign follows the event
-        # direction, magnitude stays within the fleet reserve.
-        if dp > 0.0:
-            if dpm < 0.0:
-                dpm = 0.0
-            elif dpm > reserve:
-                dpm = reserve
-        elif dp < 0.0:
-            if dpm > 0.0:
-                dpm = 0.0
-            elif dpm < -reserve:
-                dpm = -reserve
-        else:
-            if dpm > reserve:
-                dpm = reserve
-            elif dpm < -reserve:
-                dpm = -reserve
-        if rate is not None:
-            cmd_d, cmd_i = path_cmds(df, ld, li, xw)
-            cmd = cmd_d + cmd_i
-            if cmd < c_lo:
-                c_lo = cmd
-            elif cmd > c_hi:
-                c_hi = cmd
-            prev_cmd = min(max(min(max(cmd, lo), hi), lo_s), hi_s)
-
-        if (k + 1) % stride == 0:
-            record((k + 1) * dt, df, dpm, ld, li, xw, p)
-            if f_hz[-1] < stop:
-                break
-
-    if not math.isfinite(df + dpm + ld + li + xw + p):
+    if not math.isfinite(state_sum):
         taus = [("system.pv.t_inv", pv.t_inv),
                 ("system.governor.t_gov", gov.t_gov)]
         if droop_on:
@@ -325,6 +188,209 @@ def run_simulation(scenario: "Scenario", controller: str | None = None,
     trace.cmd_max = c_hi
     _fill_rocof(trace, cfg)
     return trace
+
+
+# The step loop of every variant. The first three columns of a line are
+# its tags, and a variant keeps the line only if every tag holds: "D" and
+# "I" the droop or inertia path is on, "d" and "i" it is off, "C" the
+# recovery clamp is on (inertia path only), "R" and "r" the rate limiter is
+# on or off, "S" the stage is one of stages 2-4. Untagged lines are always
+# kept. "@paths", "@record <t>" and "@stage <n> [<h>]" lines expand the
+# blocks below at their indentation.
+#
+# [lo_s, hi_s] is the step's command envelope (the rate limiter may narrow
+# it each step) and [c_lo, c_hi] the range of commands requested before
+# it. A stage whose request lies in [w_lo, w_hi], their intersection,
+# changes neither, so one test serves both.
+_LOOP = """\
+   def kernel(*, n_steps, stride, k_event, dt, stop, w_d, inv_rd, r_tld,
+              w_i, k_i, r_tli, r_tw, r_tinv, c_pv, lo, hi, rate, kappa_r,
+              r_tgov, gov_lo, gov_hi, d_load, r_2h, f0, dp, t_out, f_out,
+              gov_out, pv_out, droop_out, inertia_out):
+       lo_s = lo
+       hi_s = hi
+       c_lo = c_hi = w_lo = w_hi = 0.0
+       df = dpm = ld = li = xw = p = 0.0
+       prev_cmd = 0.0
+       h2 = 0.5 * dt
+       dt6 = dt / 6.0
+R      max_delta = rate * dt
+       @paths
+       @record 0.0
+       if f < stop:
+           n_steps = 0
+       for k in range(1, n_steps + 1):
+           dp_event = dp if k > k_event else 0.0
+R          x = prev_cmd - max_delta
+R          lo_s = x if x > lo else lo
+R          x = prev_cmd + max_delta
+R          hi_s = x if x < hi else hi
+R          w_lo = c_lo if c_lo > lo_s else lo_s
+R          w_hi = c_hi if c_hi < hi_s else hi_s
+           @stage 1
+           @stage 2 h2
+           @stage 3 h2
+           @stage 4 dt
+           df += dt6 * (a1 + 2.0 * (a2 + a3) + a4)
+           dpm += dt6 * (b1 + 2.0 * (b2 + b3) + b4)
+D          ld += dt6 * (c1 + 2.0 * (c2 + c3) + c4)
+I          li += dt6 * (e1 + 2.0 * (e2 + e3) + e4)
+I          xw += dt6 * (g1 + 2.0 * (g2 + g3) + g4)
+           p += dt6 * (p1 + 2.0 * (p2 + p3) + p4)
+           if dpm < gov_lo:
+               dpm = gov_lo
+           elif dpm > gov_hi:
+               dpm = gov_hi
+R          @paths
+R          cmd = cmd_d + cmd_i
+R          if cmd < c_lo:
+R              c_lo = cmd
+R          elif cmd > c_hi:
+R              c_hi = cmd
+R          # [lo_s, hi_s] lies inside [lo, hi], so one clamp serves both.
+R          if cmd < lo_s:
+R              cmd = lo_s
+R          elif cmd > hi_s:
+R              cmd = hi_s
+R          prev_cmd = cmd
+           if k % stride == 0:
+r              @paths
+               @record k * dt
+               if f < stop:
+                   break
+       return c_lo, c_hi, df + dpm + ld + li + xw + p
+"""
+
+# The right-hand side at stage {n}: the slopes a, b, c, e, g and p of df,
+# dpm, ld, li, xw and p, taken at the stage states {df} ... {p}. Stages
+# 2-4 first form those from the previous stage's slopes.
+_STAGE = """\
+S  sdf = df + {h} * a{m}
+S  sdpm = dpm + {h} * b{m}
+SD sld = ld + {h} * c{m}
+SI sli = li + {h} * e{m}
+SI sxw = xw + {h} * g{m}
+S  sp = p + {h} * p{m}
+D  if {df} > w_d:
+D      u = {df} - w_d
+D  elif {df} < -w_d:
+D      u = {df} + w_d
+D  else:
+D      u = 0.0
+D  c{n} = (u - {ld}) * r_tld
+D  cmd = -{ld} * inv_rd
+d  cmd = 0.0
+I  if {df} > w_i:
+I      u = {df} - w_i
+I  elif {df} < -w_i:
+I      u = {df} + w_i
+I  else:
+I      u = 0.0
+I  e{n} = (u - {li}) * r_tli
+I  g{n} = (k_i * {li} - {xw}) * r_tw
+I  ci = -g{n}
+C  if {df} < 0.0:
+C      if ci < 0.0:
+C          ci = 0.0
+C  elif {df} > 0.0:
+C      if ci > 0.0:
+C          ci = 0.0
+I  cmd += ci
+   if not w_lo <= cmd <= w_hi:
+       if cmd < c_lo:
+           c_lo = cmd
+       elif cmd > c_hi:
+           c_hi = cmd
+       w_lo = c_lo if c_lo > lo_s else lo_s
+       w_hi = c_hi if c_hi < hi_s else hi_s
+       if cmd < lo_s:
+           cmd = lo_s
+       elif cmd > hi_s:
+           cmd = hi_s
+   p{n} = (cmd - {p}) * r_tinv
+   a{n} = ({dpm} + c_pv * {p} - dp_event - d_load * {df}) * r_2h
+   b{n} = (-kappa_r * {df} - {dpm}) * r_tgov
+"""
+
+# Per-path command requests at the state after a step (plant pu).
+_PATHS = """\
+D  cmd_d = -ld * inv_rd
+d  cmd_d = 0.0
+I  cmd_i = -(k_i * li - xw) * r_tw
+C  if df < 0.0:
+C      if cmd_i < 0.0:
+C          cmd_i = 0.0
+C  elif df > 0.0:
+C      if cmd_i > 0.0:
+C          cmd_i = 0.0
+i  cmd_i = 0.0
+"""
+
+# One sample at time {t}, after "@paths".
+_RECORD = """\
+   t_out.append({t})
+   f = f0 * (1.0 + df)
+   f_out.append(f)
+   gov_out.append(dpm)
+   pv_out.append(c_pv * p)
+   droop_out.append(c_pv * cmd_d)
+   inertia_out.append(c_pv * cmd_i)
+"""
+
+_STATES = ("df", "dpm", "ld", "li", "xw", "p")
+
+#: Compiled step loops by (droop on, inertia on, recovery clamp on the
+#: inertia path, rate limiter on), each generated on its first use.
+_KERNELS: dict[tuple[bool, bool, bool, bool], Callable[..., tuple]] = {}
+
+
+def _kernel(droop_on: bool, inertia_on: bool, clamp_on: bool,
+            rate_on: bool) -> Callable[..., tuple]:
+    key = (droop_on, inertia_on, clamp_on and inertia_on, rate_on)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        kernel = _KERNELS[key] = _compile_kernel(*key)
+    return kernel
+
+
+def _compile_kernel(droop_on: bool, inertia_on: bool, clamp_on: bool,
+                    rate_on: bool) -> Callable[..., tuple]:
+    """Generate and compile the step loop of one variant."""
+    holds = {"D": droop_on, "d": not droop_on, "I": inertia_on,
+             "i": not inertia_on, "C": clamp_on, "R": rate_on,
+             "r": not rate_on}
+
+    def lines(block: str, indent: str, **names) -> list[str]:
+        return [indent + line[3:].format(**names)
+                for line in block.splitlines()
+                if all(holds[tag] for tag in line[:3].strip())]
+
+    source = []
+    for line in lines(_LOOP, ""):
+        code = line.lstrip()
+        indent = line[:len(line) - len(code)]
+        directive, _, arg = code.partition(" ")
+        if directive == "@paths":
+            source += lines(_PATHS, indent)
+        elif directive == "@record":
+            source += lines(_RECORD, indent, t=arg)
+        elif directive == "@stage":
+            n, _, h = arg.partition(" ")
+            holds["S"] = bool(h)
+            states = {s: "s" + s if h else s for s in _STATES}
+            source += lines(_STAGE, indent, n=n, h=h, m=int(n) - 1,
+                            **states)
+        else:
+            source.append(line)
+
+    kinds = {(False, False): "none", (True, False): "droop",
+             (False, True): "inertia", (True, True): "combined"}
+    name = kinds[droop_on, inertia_on]
+    name += "+clamp" * clamp_on + "+rate" * rate_on
+    namespace: dict[str, Callable[..., tuple]] = {}
+    exec(compile("\n".join(source), f"<gridfreq rk4 {name}>", "exec"),
+         namespace)
+    return namespace["kernel"]
 
 
 def _event_step(t_event: float, dt: float) -> int:

@@ -1,7 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import engine_reference
+from gridfreq import engine
 from gridfreq.engine import SimConfig, run_simulation
 from gridfreq.metrics import compute_frequency_metrics
 from gridfreq.scenario import (preset_scenario, scenario_from_dict,
@@ -337,3 +345,117 @@ class TestSimConfigValidation:
             SimConfig(dt=0.0)
         with pytest.raises(ValueError):
             SimConfig(rocof_window=0.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("t_end", math.inf), ("sample_interval", math.inf),
+        ("dt", math.nan), ("dt", math.inf), ("rocof_window", math.nan),
+        ("rocof_window", math.inf), ("t_end", -math.inf)])
+    def test_non_finite_field_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SimConfig(**{name: value})
+
+
+# The 12 generated loops: (kind, recovery clamp, rate limiter on). The
+# clamp acts on the inertia path only, so it makes no variant without it.
+VARIANTS = [(kind, clamp, rate)
+            for kind in ("none", "droop", "inertia", "combined")
+            for clamp in ((False, True) if kind in ("inertia", "combined")
+                          else (False,))
+            for rate in (False, True)]
+
+
+@st.composite
+def engine_cases(draw, kind, clamp, rate):
+    """A short run of one variant with every limit able to bind."""
+    dt = draw(st.sampled_from((0.0025, 0.005, 0.01, 0.02)))
+    stride = draw(st.integers(1, 4))
+    t_event = draw(st.floats(0.0, 1.5))  # mostly off the step grid
+    n_steps = draw(st.integers(int(t_event / dt) + 1, int(3.0 / dt)))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    doc = {
+        "preset": draw(st.sampled_from(("ei80", "ercot80"))),
+        "system": {
+            "governor": {"reserve_limit": draw(st.floats(0.0005, 0.05))},
+            "pv": {"headroom": draw(st.one_of(st.floats(0.0, 0.05),
+                                              st.floats(0.0, 0.95))),
+                   "rate_limit": (draw(st.floats(0.005, 0.3)) if rate
+                                  else None)}},
+        "controller": {
+            "kind": kind,
+            "droop": {"r": draw(st.floats(0.02, 0.1)),
+                      "deadband": draw(st.floats(0.0, 0.002)),
+                      "t_lag": draw(st.floats(0.05, 0.5))},
+            "inertia": {"k": draw(st.floats(0.0, 15.0)),
+                        "deadband": draw(st.floats(0.0, 0.002)),
+                        "t_lag": draw(st.floats(0.02, 0.1)),
+                        "t_washout": draw(st.floats(0.05, 0.3)),
+                        "recovery_clamp": clamp}},
+        "contingency": {"dp": sign * draw(st.floats(0.002, 0.06)),
+                        "t_event": t_event},
+        "sim": {"dt": dt, "t_end": n_steps * dt,
+                "sample_interval": stride * dt},
+    }
+    stop = draw(st.one_of(st.none(), st.floats(58.5, 60.0)))
+    return scenario_from_dict(doc), stop
+
+
+def outcome(run, scenario, stop):
+    """Every trace list and the command range, or the error raised."""
+    try:
+        trace = run(scenario, stop_below_hz=stop)
+    except ValueError as exc:
+        return str(exc)
+    return ([getattr(trace, name) for name in TRACE_LISTS],
+            trace.cmd_min, trace.cmd_max)
+
+
+class TestReferenceDifferential:
+    """Each generated loop equals the closure-form reference bit for bit:
+    same float operations in the same order."""
+
+    @pytest.mark.parametrize("kind,clamp,rate", VARIANTS)
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference(self, kind, clamp, rate, data):
+        scenario, stop = data.draw(engine_cases(kind, clamp, rate))
+        assert outcome(run_simulation, scenario, stop) == outcome(
+            engine_reference.run_simulation, scenario, stop)
+
+    @pytest.mark.parametrize("kind", ["droop", "inertia", "combined"])
+    def test_preset_full_horizon_equals_reference(self, kind):
+        s = preset_scenario("ercot80", controller=kind)
+        assert outcome(run_simulation, s, None) == outcome(
+            engine_reference.run_simulation, s, None)
+
+
+class TestKernelCache:
+    def test_import_generates_no_loop(self):
+        src = str(Path(engine.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src])
+        code = "import gridfreq, gridfreq.engine; " \
+               "print(len(gridfreq.engine._KERNELS))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "0"
+
+    def test_every_variant_compiles_once_under_its_own_name(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(engine, "_KERNELS", {})
+        sim = SimConfig(t_end=2.0)
+        for kind in ("none", "droop", "inertia", "combined"):
+            for rate_limit in (None, 0.5):
+                for clamp in (False, True):
+                    s = preset_scenario("ei80", controller=kind)
+                    s = set_param(s, "system.pv.rate_limit", rate_limit)
+                    s = set_param(s, "controller.inertia.recovery_clamp",
+                                  clamp)
+                    run_simulation(s, sim=sim)
+                    run_simulation(s, sim=sim)
+        kernels = engine._KERNELS
+        assert len(kernels) == 12
+        names = {k.__code__.co_filename for k in kernels.values()}
+        assert len(names) == 12
+        assert {"<gridfreq rk4 none>", "<gridfreq rk4 droop+rate>",
+                "<gridfreq rk4 combined+clamp+rate>"} <= names

@@ -211,6 +211,19 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(io.StringIO("time,freq\n"))
 
+    def test_rows_match_per_value_format(self):
+        # Negative zero, values that round to zero from either side, the
+        # six-decimal rounding boundary and large magnitudes.
+        values = [-0.0, 0.0, -4e-7, 4e-7, 5e-7, -5e-7, 1.2345665, 59.9999995,
+                  -123456.789, 1e-12, -0.5e-6 - 1e-12, 3.0]
+        columns = [values[i:] + values[:i] for i in range(7)]
+        trace = Trace(*columns)
+        sink = io.StringIO()
+        write_trace_csv(trace, sink)
+        rows = [",".join(f"{column[i] + 0.0:.6f}" for column in columns)
+                for i in range(len(values))]
+        assert sink.getvalue() == "\n".join([TRACE_HEADER, *rows]) + "\n"
+
 
 class TestMetricsCsv:
     def test_header_and_order(self):

@@ -133,7 +133,7 @@ def _cmd_compliance(args: argparse.Namespace) -> int:
 
 def _cmd_headroom(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    controller = args.controller or scenario.controller.kind
+    controller = scenario.controller.kind
     if controller == "none":
         raise ScenarioError(
             "headroom sizing needs a responsive controller; pass "
@@ -152,7 +152,7 @@ def _cmd_headroom(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    controller = args.controller or scenario.controller.kind
+    controller = scenario.controller.kind
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:

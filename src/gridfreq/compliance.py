@@ -10,10 +10,10 @@ interconnection performance guidance, not normative figures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from .engine import SimConfig, _as_steps, _event_step
+from .engine import SimConfig
 from .metrics import (NoResponseError, NotSettledError, StepResponseMetrics,
                       compute_step_response_metrics)
 from .pv import ControllerSpec, PVPlantConfig, make_controller
@@ -65,21 +65,12 @@ class ComplianceReport:
         out: dict[str, Any] = {
             "passed": self.passed,
             "failure_reason": self.failure_reason,
-            "criteria": {
-                name: {"value": c.value, "limit": c.limit,
-                       "passed": c.passed}
-                for name, c in self.criteria.items()
-            },
+            "criteria": {name: asdict(c)
+                         for name, c in self.criteria.items()},
             "config": self.config,
         }
         if self.metrics is not None:
-            out["metrics"] = {
-                "reaction_time_s": self.metrics.reaction_time_s,
-                "rise_time_s": self.metrics.rise_time_s,
-                "settling_time_s": self.metrics.settling_time_s,
-                "overshoot": self.metrics.overshoot,
-                "final_value": self.metrics.final_value,
-            }
+            out["metrics"] = asdict(self.metrics)
         return out
 
 
@@ -94,8 +85,10 @@ def run_step_test(controller_spec: ControllerSpec,
     One zero-order-hold loop: each step holds the frequency deviation,
     advances the controller, clamps the command into [down_limit,
     up_limit], limits its change to +/- rate_limit * dt when a rate limit
-    is set, and advances the inverter lag. The step switches on at the
-    first step boundary at or after ``step_time``.
+    is set, and advances the inverter lag. The step grid is
+    ``SimConfig.step_grid``'s: the step switches on at the first step
+    boundary at or after ``step_time``, and must do so before the last
+    whole sample at or before ``sim.t_end``.
     """
     if controller_spec.kind == "none":
         raise ValueError(
@@ -105,14 +98,7 @@ def run_step_test(controller_spec: ControllerSpec,
     thr = thresholds or ComplianceThresholds()
     cfg = sim or SimConfig(t_end=20.0)
     dt = cfg.dt
-    n_steps = _as_steps(cfg.t_end, dt, "t_end")
-    stride = _as_steps(cfg.sample_interval, dt, "sample_interval")
-    k_step = _event_step(step_time, dt)
-    if k_step >= n_steps:
-        raise ValueError(
-            f"sim.t_end ({cfg.t_end}) must exceed step_time ({step_time}) "
-            f"by at least sim.dt ({dt}), or the step is never applied"
-        )
+    n_steps, stride, k_step = cfg.step_grid(step_time, "step_time")
     controller = make_controller(controller_spec, dt)
     lo = plant_cfg.down_limit
     hi = plant_cfg.up_limit
@@ -152,14 +138,11 @@ def evaluate_compliance(response: StepResponse,
         metrics = compute_step_response_metrics(
             response.t, response.y, response.step_time,
             settling_band=thr.settling_band)
-    except NoResponseError:
+    except (NoResponseError, NotSettledError) as exc:
+        reason = ("no_response" if isinstance(exc, NoResponseError)
+                  else "not_settled")
         return ComplianceReport(metrics=None, criteria={}, passed=False,
-                                failure_reason="no_response",
-                                config=config or {})
-    except NotSettledError:
-        return ComplianceReport(metrics=None, criteria={}, passed=False,
-                                failure_reason="not_settled",
-                                config=config or {})
+                                failure_reason=reason, config=config or {})
 
     criteria = {
         "reaction_time": CriterionResult(

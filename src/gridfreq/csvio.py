@@ -17,14 +17,12 @@ from .metrics import FrequencyMetrics
 
 TRACE_HEADER = ("t_s,f_hz,rocof_hz_per_s,dp_gov_pu,dp_pv_pu,"
                 "dp_pv_droop_pu,dp_pv_inertia_pu")
-_TRACE_ROW = ",".join(["%.6f"] * 7) + "\n"
 METRICS_HEADER = ("scenario,controller,nadir_hz,nadir_time_s,"
                   "max_abs_rocof_hz_per_s,settling_freq_hz")
-
-
-def _fmt(x: float) -> str:
-    # x + 0.0 canonicalizes -0.0 so zero always prints as 0.000000
-    return f"{x + 0.0:.6f}"
+# One format per row. Writers pass each number as x + 0.0, which
+# canonicalizes -0.0, so zero always prints as 0.000000.
+_TRACE_ROW = ",".join(["%.6f"] * 7) + "\n"
+_METRICS_ROW = "%s,%s," + ",".join(["%.6f"] * 4) + "\n"
 
 
 def _text_field(text: str) -> str:
@@ -38,7 +36,6 @@ def _text_field(text: str) -> str:
 def write_trace_csv(trace: Trace, sink: TextIO) -> None:
     """Write one row per sample with the fixed trace header."""
     sink.write(TRACE_HEADER + "\n")
-    # One format per row; each value is canonicalized as in _fmt.
     for t, f, rocof, gov, pv, droop, inertia in zip(
             trace.t, trace.f_hz, trace.rocof_hz_per_s, trace.dp_gov_pu,
             trace.dp_pv_pu, trace.dp_pv_droop_pu, trace.dp_pv_inertia_pu):
@@ -72,10 +69,10 @@ def write_metrics_csv(rows: Iterable[tuple[str, str, FrequencyMetrics]],
     """Write (scenario, controller, metrics) rows in the order given."""
     sink.write(METRICS_HEADER + "\n")
     for scenario, controller, m in rows:
-        sink.write(",".join((_text_field(scenario), _text_field(controller),
-                             _fmt(m.nadir_hz), _fmt(m.nadir_time_s),
-                             _fmt(m.max_abs_rocof_hz_per_s),
-                             _fmt(m.settling_freq_hz))) + "\n")
+        sink.write(_METRICS_ROW % (
+            _text_field(scenario), _text_field(controller),
+            m.nadir_hz + 0.0, m.nadir_time_s + 0.0,
+            m.max_abs_rocof_hz_per_s + 0.0, m.settling_freq_hz + 0.0))
 
 
 def read_metrics_csv(source: TextIO) -> list[tuple[str, str,

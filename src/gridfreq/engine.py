@@ -7,7 +7,10 @@ nonlinearities (deadband, command clamp, recovery clamp) are evaluated
 inside every RK4 stage from the stage states; discrete elements (the
 governor reserve clamp and the optional PV rate limiter) update once per
 full step. The contingency switches on at a step boundary, so the pre-event
-trajectory is exactly flat.
+trajectory is exactly flat. ``SimConfig.step_grid`` derives the step grid
+of this loop and of the open-loop step test in ``gridfreq.compliance``: the
+run ends at the last whole sample at or before ``t_end``, and an event that
+would not switch on before that sample is rejected.
 
 The step loop is generated from one source template per controller
 variant: droop and inertia path on or off, recovery clamp on or off and
@@ -69,6 +72,34 @@ class SimConfig:
         _as_steps(self.sample_interval, self.dt, "sample_interval")
         _as_steps(self.t_end, self.dt, "t_end")
 
+    def step_grid(self, t_event: float,
+                  event_field: str) -> tuple[int, int, int]:
+        """The run's integer grid, ``(n_steps, stride, k_event)``, for an
+        event at ``t_event``.
+
+        A sample is taken every ``stride`` steps of ``dt``, and the run
+        ends at the last whole sample at or before ``t_end``. The event
+        switches on at step ``k_event``, the first step boundary at or
+        after ``t_event``. An event that would not switch on before the
+        last sample raises ``ValueError`` naming ``sim.t_end`` and
+        ``event_field``.
+        """
+        dt = self.dt
+        stride = _as_steps(self.sample_interval, dt, "sample_interval")
+        n_steps = _as_steps(self.t_end, dt, "t_end") // stride * stride
+        n = t_event / dt
+        k_event = round(n)
+        if abs(n - k_event) > 1e-6 * max(1.0, abs(n)):
+            k_event = int(n) + 1
+        if k_event >= n_steps:
+            raise ValueError(
+                f"sim.t_end ({self.t_end}) must leave at least one sim.dt "
+                f"({dt}) step after {event_field} ({t_event}) and before "
+                f"the last whole sample (t = {n_steps * dt:g} s), or the "
+                f"event never switches on"
+            )
+        return n_steps, stride, k_event
+
 
 def _as_steps(total: float, dt: float, name: str) -> int:
     """Number of dt steps in ``total``, requiring an integer multiple."""
@@ -118,20 +149,19 @@ def run_simulation(scenario: "Scenario", controller: str | None = None,
     ``controller`` overrides the scenario's controller kind; ``sim``
     overrides its integration settings. With ``stop_below_hz`` the run
     ends after the first sample whose frequency is below it, and the trace
-    is an exact prefix of the full one. A final state that is not finite
-    raises ``ValueError`` naming ``sim.dt`` and the fastest active time
-    constant.
+    is an exact prefix of the full one. The step grid is
+    ``SimConfig.step_grid``'s, so a contingency that would not switch on
+    before the last sample raises ``ValueError``. A final state that is not
+    finite raises ``ValueError`` naming ``sim.dt`` and the fastest active
+    time constant.
     """
     kind = validate_kind(controller if controller is not None
                          else scenario.controller.kind)
     cfg = sim if sim is not None else scenario.sim
     system = scenario.system
     contingency = scenario.contingency
-    if cfg.t_end <= contingency.t_event:
-        raise ValueError(
-            f"t_end ({cfg.t_end}) must exceed t_event "
-            f"({contingency.t_event})"
-        )
+    n_steps, stride, k_event = cfg.step_grid(contingency.t_event,
+                                             "contingency.t_event")
 
     dt = cfg.dt
     droop_on = kind in ("droop", "combined")
@@ -152,12 +182,7 @@ def run_simulation(scenario: "Scenario", controller: str | None = None,
     trace = Trace()
     # Hoisted coefficients; the loop only reads them.
     c_lo, c_hi, state_sum = kernel(
-        n_steps=_as_steps(cfg.t_end, dt, "t_end"),
-        stride=_as_steps(cfg.sample_interval, dt, "sample_interval"),
-        # The event switches on at the first step boundary at or after
-        # t_event.
-        k_event=_event_step(contingency.t_event, dt),
-        dt=dt,
+        n_steps=n_steps, stride=stride, k_event=k_event, dt=dt,
         stop=-math.inf if stop_below_hz is None else stop_below_hz,
         w_d=dcfg.deadband, inv_rd=1.0 / dcfg.r, r_tld=1.0 / dcfg.t_lag,
         w_i=icfg.deadband, k_i=icfg.k, r_tli=1.0 / icfg.t_lag,
@@ -391,15 +416,6 @@ def _compile_kernel(droop_on: bool, inertia_on: bool, clamp_on: bool,
     exec(compile("\n".join(source), f"<gridfreq rk4 {name}>", "exec"),
          namespace)
     return namespace["kernel"]
-
-
-def _event_step(t_event: float, dt: float) -> int:
-    """First step index whose interval starts at or after t_event."""
-    n = t_event / dt
-    r = round(n)
-    if abs(n - r) <= 1e-6 * max(1.0, abs(n)):
-        return r
-    return int(n) + 1
 
 
 def _fill_rocof(trace: Trace, cfg: SimConfig) -> None:

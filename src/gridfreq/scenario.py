@@ -1,11 +1,12 @@
 """Scenario documents: parsing, validation, presets and serialization.
 
-A scenario is a single JSON document with five sections (system,
-controller, contingency, sim, plus a name). Every key is optional when a
-``preset`` supplies the base values; unknown keys are rejected so typos
-fail loudly. Numeric fields can also be addressed with dotted paths
-(``system.h_sys``, ``controller.droop.r``) for command-line overrides and
-parameter sweeps.
+A scenario is a single JSON document with four sections (system,
+controller, contingency, sim) plus a name. The config dataclasses are the
+schema: a section's keys are its dataclass's fields, parsed as their
+annotations say. Every key is optional when a ``preset`` supplies the base
+values; unknown keys are rejected so typos fail loudly. Numeric fields can
+also be addressed with dotted paths (``system.h_sys``,
+``controller.droop.r``) for command-line overrides and parameter sweeps.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from typing import Any
 
 from .engine import SimConfig
-from .grid import Contingency, GovernorFleet, SystemParams
-from .pv import ControllerSpec, DroopConfig, InertiaConfig, PVPlantConfig
+from .grid import Contingency, SystemParams
+from .pv import ControllerSpec
 
 
 class ScenarioError(ValueError):
@@ -72,33 +74,27 @@ def _string(value: Any, path: str) -> str:
     return value
 
 
-# The one table of scenario fields: section -> (dataclass, {field: leaf
-# caster or nested section}). Parsing walks it, and its non-string leaves
-# are the dotted paths that --set and parameter sweeps address.
+_CASTERS = {float: _number, float | None: _optional_number, bool: _boolean,
+            str: _string}
+
+
+def _schema(cls: type) -> dict[str, Any]:
+    """Field -> leaf caster, or (dataclass, its schema) for a nested
+    section, read from the annotations of dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], _schema(hints[f.name]))
+            if dataclasses.is_dataclass(hints[f.name])
+            else _CASTERS[hints[f.name]]
+            for f in dataclasses.fields(cls)}
+
+
+# The scenario sections, derived from the config dataclasses that define
+# the fields: section -> (dataclass, its schema). Parsing walks it, and its
+# non-string leaves are the dotted paths that --set and parameter sweeps
+# address.
 _SCHEMA: dict[str, tuple[type, dict[str, Any]]] = {
-    "system": (SystemParams, {
-        "h_sys": _number, "d_load": _number, "f0": _number,
-        "governor": (GovernorFleet, {
-            "kappa": _number, "r_gov": _number, "t_gov": _number,
-            "reserve_limit": _number}),
-        "pv": (PVPlantConfig, {
-            "c_pv": _number, "headroom": _number,
-            "available_power": _number, "t_inv": _number,
-            "rate_limit": _optional_number}),
-    }),
-    "controller": (ControllerSpec, {
-        "kind": _string,
-        "droop": (DroopConfig, {
-            "r": _number, "deadband": _number, "t_lag": _number}),
-        "inertia": (InertiaConfig, {
-            "k": _number, "deadband": _number, "t_lag": _number,
-            "t_washout": _number, "recovery_clamp": _boolean}),
-    }),
-    "contingency": (Contingency, {"dp": _number, "t_event": _number}),
-    "sim": (SimConfig, {
-        "dt": _number, "t_end": _number, "sample_interval": _number,
-        "rocof_window": _number}),
-}
+    key: spec for key, spec in _schema(Scenario).items()
+    if isinstance(spec, tuple)}
 
 
 def parse_scenario(text: str) -> Scenario:

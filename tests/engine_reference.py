@@ -6,7 +6,8 @@ all six states with a flag branch per controller element, ``path_cmds``
 gives the per-path commands and ``record`` appends a sample. This is the
 form the engine had before its loop was generated from a template. Both
 keep the same float operations in the same order, so the tests compare
-every trace list and the command range with ``==``.
+every trace list and the command range with ``==``. The step grid is
+``SimConfig.step_grid``'s, as in the engine.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from gridfreq.engine import (SimConfig, Trace, _as_steps, _event_step,
-                             _fill_rocof)
+from gridfreq.engine import SimConfig, Trace, _fill_rocof
 from gridfreq.pv import validate_kind
 
 if TYPE_CHECKING:
@@ -39,17 +39,9 @@ def run_simulation(scenario: "Scenario", controller: str | None = None,
     cfg = sim if sim is not None else scenario.sim
     system = scenario.system
     contingency = scenario.contingency
-    if cfg.t_end <= contingency.t_event:
-        raise ValueError(
-            f"t_end ({cfg.t_end}) must exceed t_event "
-            f"({contingency.t_event})"
-        )
-
+    n_steps, stride, k_event = cfg.step_grid(contingency.t_event,
+                                             "contingency.t_event")
     dt = cfg.dt
-    n_steps = _as_steps(cfg.t_end, dt, "t_end")
-    stride = _as_steps(cfg.sample_interval, dt, "sample_interval")
-    # Event switches on at the first step boundary at or after t_event.
-    k_event = _event_step(contingency.t_event, dt)
 
     droop_on = kind in ("droop", "combined")
     inertia_on = kind in ("inertia", "combined")

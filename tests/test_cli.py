@@ -49,6 +49,16 @@ class TestSimulate:
         assert code == 0
         assert out.exists()
 
+    def test_event_after_last_step_exits_1(self, tmp_path, capsys):
+        code = run_cli("simulate", "--preset", "ei80", "--controller",
+                       "droop", "--set", "contingency.t_event=9.998",
+                       "--set", "sim.t_end=10.0", "--out",
+                       str(tmp_path / "t.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "contingency.t_event" in err and "sim.t_end" in err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_byte_identical_across_runs(self, tmp_path, fast_args):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -84,6 +84,14 @@ class TestRunStepTest:
                              step_time=0.994)
         assert resp.y[-2] == 0.0 < resp.y[-1]
 
+    def test_step_after_last_sample_rejected(self):
+        # 2.01 is before t_end but after the last whole sample, t = 2.0.
+        sim = SimConfig(t_end=2.035, sample_interval=0.04)
+        with pytest.raises(ValueError,
+                           match=r"sim\.t_end .* step_time \(2\.01\)"):
+            run_step_test(droop_spec(), PVPlantConfig(headroom=0.1),
+                          sim=sim, step_time=2.01)
+
     def test_builds_one_controller_per_test(self, monkeypatch):
         # The benchmark's tracer times the controller layer by wrapping
         # this module attribute; a test that bypassed it would read 0.
@@ -187,6 +195,13 @@ class TestEvaluateCompliance:
         assert report.failure_reason == "no_response"
         assert report.criteria == {}
 
+    def test_unsettled_response_is_overall_fail(self):
+        report = evaluate_compliance(synthetic_first_order(5.0, 20.0))
+        assert not report.passed
+        assert report.failure_reason == "not_settled"
+        assert report.criteria == {}
+        assert "metrics" not in report.as_dict()
+
     def test_loosening_thresholds_never_flips_pass_to_fail(self):
         resp = synthetic_first_order(2.0)
         base = ComplianceThresholds()
@@ -215,6 +230,23 @@ class TestEvaluateCompliance:
         parsed = json.loads(blob)
         assert parsed["passed"] is True
         assert parsed["criteria"]["rise_time"]["passed"] is True
+
+    def test_report_dict_keys(self):
+        report = evaluate_compliance(synthetic_first_order(1.0),
+                                     config={"scenario": "x"})
+        m = report.metrics
+        assert report.as_dict() == {
+            "passed": True, "failure_reason": None,
+            "criteria": {name: {"value": c.value, "limit": c.limit,
+                                "passed": c.passed}
+                         for name, c in report.criteria.items()},
+            "config": {"scenario": "x"},
+            "metrics": {"reaction_time_s": m.reaction_time_s,
+                        "rise_time_s": m.rise_time_s,
+                        "settling_time_s": m.settling_time_s,
+                        "overshoot": m.overshoot,
+                        "final_value": m.final_value},
+        }
 
     def test_format_report_mentions_overall(self):
         report = evaluate_compliance(synthetic_first_order(1.0))

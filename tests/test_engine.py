@@ -355,6 +355,48 @@ class TestSimConfigValidation:
             SimConfig(**{name: value})
 
 
+class TestStepGrid:
+    def test_grid_ends_at_last_whole_sample(self):
+        sim = SimConfig(t_end=2.035, sample_interval=0.04)
+        assert sim.step_grid(1.0, "contingency.t_event") == (400, 8, 200)
+        # An off-grid event switches on at the next step boundary.
+        assert sim.step_grid(1.0012, "contingency.t_event") == (400, 8, 201)
+
+    def test_steps_after_last_sample_are_not_integrated(self):
+        s = preset_scenario("ei80", controller="droop")
+        partial = run_simulation(
+            s, sim=SimConfig(t_end=2.035, sample_interval=0.04))
+        whole = run_simulation(
+            s, sim=SimConfig(t_end=2.0, sample_interval=0.04))
+        for name in ("t", "f_hz", "rocof_hz_per_s", "dp_gov_pu",
+                     "dp_pv_pu", "dp_pv_droop_pu", "dp_pv_inertia_pu"):
+            assert getattr(partial, name) == getattr(whole, name), name
+        assert partial.t[-1] == 2.0
+        assert (partial.cmd_min, partial.cmd_max) == (whole.cmd_min,
+                                                      whole.cmd_max)
+
+    def test_event_after_last_step_is_rejected(self):
+        s = set_param(preset_scenario("ei80", controller="droop"),
+                      "contingency.t_event", 9.998)
+        with pytest.raises(ValueError, match=r"sim\.t_end \(10\.0\).*"
+                           r"contingency\.t_event \(9\.998\)"):
+            run_simulation(s, sim=SimConfig(t_end=10.0))
+
+    def test_event_on_the_last_step_is_kept(self):
+        s = set_param(preset_scenario("ei80", controller="droop"),
+                      "contingency.t_event", 9.995)
+        trace = run_simulation(s, sim=SimConfig(t_end=10.0))
+        assert trace.f_hz[-2] == 60.0 > trace.f_hz[-1]
+
+    def test_event_after_last_sample_is_rejected(self):
+        # The event switches on before t_end but after the last sample.
+        s = set_param(preset_scenario("ei80", controller="droop"),
+                      "contingency.t_event", 2.01)
+        with pytest.raises(ValueError, match="contingency.t_event"):
+            run_simulation(
+                s, sim=SimConfig(t_end=2.035, sample_interval=0.04))
+
+
 # The 12 generated loops: (kind, recovery clamp, rate limiter on). The
 # clamp acts on the inertia path only, so it makes no variant without it.
 VARIANTS = [(kind, clamp, rate)

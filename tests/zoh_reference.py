@@ -6,7 +6,8 @@ An independent oracle for the shipped closure (``gridfreq.pv
 (``gridfreq.compliance.run_step_test``): every filter is its own object
 that recomputes its coefficient on each step, and the envelope applies the
 magnitude clamp and rate limit through ``LimitSpec``. The step grid (the
-step count and the first step at or after ``step_time``) is the engine's.
+step count, the sample stride and the first step at or after
+``step_time``) is ``SimConfig.step_grid``'s, as in the shipped loop.
 The tests compare the two with ``==``; both keep the same float operation
 order, so they agree bit for bit.
 """
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from gridfreq.compliance import ComplianceThresholds, StepResponse
-from gridfreq.engine import SimConfig, _as_steps, _event_step
+from gridfreq.engine import SimConfig
 from gridfreq.pv import (ControllerSpec, DroopConfig, InertiaConfig,
                          PVPlantConfig)
 
@@ -217,15 +218,13 @@ def reference_step_test(controller_spec: ControllerSpec,
                         sim: SimConfig | None = None,
                         step_time: float = 1.0) -> StepResponse:
     """The open-loop step test on the block objects: same arguments and
-    sample grid as ``run_step_test``, without its argument checks."""
+    sample grid as ``run_step_test``, without its controller-kind check."""
     thr = thresholds or ComplianceThresholds()
     cfg = sim or SimConfig(t_end=20.0)
     controller = reference_controller(controller_spec)
     plant = PVPlant(plant_cfg)
     dt = cfg.dt
-    n_steps = _as_steps(cfg.t_end, dt, "t_end")
-    stride = _as_steps(cfg.sample_interval, dt, "sample_interval")
-    k_step = _event_step(step_time, dt)
+    n_steps, stride, k_step = cfg.step_grid(step_time, "step_time")
     t_list = [0.0]
     y_list = [0.0]
     for k in range(n_steps):

@@ -106,11 +106,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_compliance(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    if scenario.controller.kind == "none":
-        raise ScenarioError(
-            "compliance needs a responsive controller; pass --controller "
-            "droop|inertia|combined"
-        )
     thresholds = ComplianceThresholds(
         **{f.name: getattr(args, f.name)
            for f in dataclasses.fields(ComplianceThresholds)})
@@ -134,11 +129,6 @@ def _cmd_compliance(args: argparse.Namespace) -> int:
 def _cmd_headroom(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     controller = scenario.controller.kind
-    if controller == "none":
-        raise ScenarioError(
-            "headroom sizing needs a responsive controller; pass "
-            "--controller droop|inertia|combined"
-        )
     query = HeadroomQuery(scenario=scenario, controller=controller,
                           target_nadir_hz=args.target,
                           h_max=args.h_max, tolerance=args.tolerance)

@@ -16,24 +16,20 @@ from typing import Any
 from .engine import SimConfig
 from .metrics import (NoResponseError, NotSettledError, StepResponseMetrics,
                       compute_step_response_metrics)
-from .pv import ControllerSpec, PVPlantConfig, make_controller
+from .pv import (ControllerSpec, Positive, PVPlantConfig, check_fields,
+                 make_controller, validate_responsive_kind)
 
 
 @dataclass(frozen=True)
 class ComplianceThresholds:
-    step_magnitude: float = 0.002
-    max_reaction: float = 0.5
-    max_rise: float = 4.0
-    max_settling: float = 10.0
-    max_overshoot: float = 0.05
-    settling_band: float = 0.025
+    step_magnitude: Positive = 0.002
+    max_reaction: Positive = 0.5
+    max_rise: Positive = 4.0
+    max_settling: Positive = 10.0
+    max_overshoot: Positive = 0.05
+    settling_band: Positive = 0.025
 
-    def __post_init__(self) -> None:
-        for name in ("step_magnitude", "max_reaction", "max_rise",
-                     "max_settling", "max_overshoot", "settling_band"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0, "
-                                 f"got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -88,13 +84,11 @@ def run_step_test(controller_spec: ControllerSpec,
     is set, and advances the inverter lag. The step grid is
     ``SimConfig.step_grid``'s: the step switches on at the first step
     boundary at or after ``step_time``, and must do so before the last
-    whole sample at or before ``sim.t_end``.
+    whole sample at or before ``sim.t_end``; a negative or non-finite
+    ``step_time`` is rejected. Kind ``"none"`` has no response to test
+    and raises ``ValueError``.
     """
-    if controller_spec.kind == "none":
-        raise ValueError(
-            "controller kind 'none' has no response to test; choose "
-            "droop, inertia or combined"
-        )
+    validate_responsive_kind(controller_spec.kind)
     thr = thresholds or ComplianceThresholds()
     cfg = sim or SimConfig(t_end=20.0)
     dt = cfg.dt

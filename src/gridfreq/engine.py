@@ -9,8 +9,9 @@ governor reserve clamp and the optional PV rate limiter) update once per
 full step. The contingency switches on at a step boundary, so the pre-event
 trajectory is exactly flat. ``SimConfig.step_grid`` derives the step grid
 of this loop and of the open-loop step test in ``gridfreq.compliance``: the
-run ends at the last whole sample at or before ``t_end``, and an event that
-would not switch on before that sample is rejected.
+run ends at the last whole sample at or before ``t_end``, and an event time
+that is negative, not finite, or would not switch on before that sample is
+rejected.
 
 The step loop is generated from one source template per controller
 variant: droop and inertia path on or off, recovery clamp on or off and
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .pv import validate_kind
+from .pv import Positive, check_fields, validate_kind
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -46,28 +47,17 @@ if TYPE_CHECKING:
 class SimConfig:
     """Integration and sampling settings."""
 
-    dt: float = 0.005
-    t_end: float = 60.0
-    sample_interval: float = 0.01
-    rocof_window: float = 0.1
+    dt: Positive = 0.005
+    t_end: Positive = 60.0
+    sample_interval: Positive = 0.01
+    rocof_window: Positive = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("dt", "t_end", "sample_interval", "rocof_window"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
+        check_fields(self)
         if self.sample_interval < self.dt:
             raise ValueError(
                 f"sample_interval {self.sample_interval} must be >= dt "
                 f"{self.dt}"
-            )
-        if self.rocof_window <= 0.0:
-            raise ValueError(
-                f"rocof_window must be > 0, got {self.rocof_window}"
             )
         _as_steps(self.sample_interval, self.dt, "sample_interval")
         _as_steps(self.t_end, self.dt, "t_end")
@@ -80,10 +70,14 @@ class SimConfig:
         A sample is taken every ``stride`` steps of ``dt``, and the run
         ends at the last whole sample at or before ``t_end``. The event
         switches on at step ``k_event``, the first step boundary at or
-        after ``t_event``. An event that would not switch on before the
-        last sample raises ``ValueError`` naming ``sim.t_end`` and
-        ``event_field``.
+        after ``t_event``. An event time that is negative or not finite
+        raises ``ValueError`` naming ``event_field``, and an event that
+        would not switch on before the last sample raises one naming
+        ``sim.t_end`` and ``event_field``.
         """
+        if not 0.0 <= t_event < math.inf:
+            raise ValueError(
+                f"{event_field} must be finite and >= 0, got {t_event}")
         dt = self.dt
         stride = _as_steps(self.sample_interval, dt, "sample_interval")
         n_steps = _as_steps(self.t_end, dt, "t_end") // stride * stride

@@ -3,14 +3,17 @@
 The interconnection is reduced to one swing equation with load damping, a
 partially responsive governor fleet modelled as a single first-order path,
 and one equivalent PV plant. Deviations are per-unit on the system base;
-frequency deviation is per-unit on the nominal frequency.
+frequency deviation is per-unit on the nominal frequency. Each number
+field's annotation declares its constraint, and ``pv.check_fields``
+rejects a value that breaks it or is not finite, naming the field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .pv import PVPlantConfig
+from .pv import (Fraction, NonNegative, Positive, PVPlantConfig,
+                 check_fields)
 
 
 @dataclass(frozen=True)
@@ -22,41 +25,25 @@ class GovernorFleet:
     ``reserve_limit`` the cap on the mechanical power deviation.
     """
 
-    kappa: float = 0.3
-    r_gov: float = 0.05
-    t_gov: float = 8.0
-    reserve_limit: float = 0.2
+    kappa: Fraction = 0.3
+    r_gov: Positive = 0.05
+    t_gov: Positive = 8.0
+    reserve_limit: Positive = 0.2
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError(f"kappa must be in [0, 1], got {self.kappa}")
-        if self.r_gov <= 0.0:
-            raise ValueError(f"r_gov must be > 0, got {self.r_gov}")
-        if self.t_gov <= 0.0:
-            raise ValueError(f"t_gov must be > 0, got {self.t_gov}")
-        if self.reserve_limit <= 0.0:
-            raise ValueError(
-                f"reserve_limit must be > 0, got {self.reserve_limit}"
-            )
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class SystemParams:
     """Aggregated grid parameters on the system base."""
 
-    h_sys: float
-    d_load: float = 1.0
-    f0: float = 60.0
+    h_sys: Positive
+    d_load: NonNegative = 1.0
+    f0: Positive = 60.0
     governor: GovernorFleet = field(default_factory=GovernorFleet)
     pv: PVPlantConfig = field(default_factory=PVPlantConfig)
 
-    def __post_init__(self) -> None:
-        if self.h_sys <= 0.0:
-            raise ValueError(f"h_sys must be > 0, got {self.h_sys}")
-        if self.d_load < 0.0:
-            raise ValueError(f"d_load must be >= 0, got {self.d_load}")
-        if self.f0 <= 0.0:
-            raise ValueError(f"f0 must be > 0, got {self.f0}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -65,11 +52,9 @@ class Contingency:
     (underfrequency), dp < 0 removes load (overfrequency)."""
 
     dp: float
-    t_event: float = 1.0
+    t_event: NonNegative = 1.0
 
-    def __post_init__(self) -> None:
-        if self.t_event < 0.0:
-            raise ValueError(f"t_event must be >= 0, got {self.t_event}")
+    __post_init__ = check_fields
 
 
 def steady_state_deviation(params: SystemParams, dp: float,

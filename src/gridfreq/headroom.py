@@ -16,6 +16,8 @@ from typing import Callable
 from .engine import SimConfig, run_simulation
 from .metrics import (FrequencyMetrics, _first_index_at_or_after,
                       compute_frequency_metrics)
+from .pv import (FractionBelowOne, Positive, check_fields,
+                 validate_responsive_kind)
 from .scenario import Scenario, set_param, valid_param_paths
 
 
@@ -32,14 +34,16 @@ class HeadroomQuery:
     scenario: Scenario
     controller: str
     target_nadir_hz: float
-    h_max: float = 0.5
-    tolerance: float = 0.001
+    h_max: FractionBelowOne = 0.5
+    tolerance: Positive = 0.001
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tolerance < self.h_max <= 1.0:
+        check_fields(self)
+        validate_responsive_kind(self.controller)
+        if self.tolerance >= self.h_max:
             raise ValueError(
-                f"need 0 < tolerance ({self.tolerance}) < h_max "
-                f"({self.h_max}) <= 1"
+                f"tolerance ({self.tolerance}) must be below h_max "
+                f"({self.h_max})"
             )
         if self.target_nadir_hz >= self.scenario.system.f0:
             raise ValueError(

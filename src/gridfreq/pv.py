@@ -19,14 +19,62 @@ test, which runs it and the plant envelope in one loop
 zero-order-hold update, so a held input reproduces the continuous response
 at the sample instants for any step size. The closed-loop engine integrates
 the same paths as continuous states with RK4.
+
+The config dataclasses here and in ``grid``, ``engine``, ``compliance`` and
+``headroom`` declare each number field's constraint in its annotation, and
+``check_fields`` rejects, naming the field, a value that is not finite or
+breaks it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import typing
 from dataclasses import dataclass
+from typing import Annotated
 
 CONTROLLER_KINDS = ("none", "droop", "inertia", "combined")
+
+# Number-field constraints, declared in the field's annotation as
+# ``Annotated[float, <text>, <test>]`` and enforced by ``check_fields``.
+# Each test also fails NaN and +/-inf.
+Positive = Annotated[float, "> 0", lambda v: 0.0 < v < math.inf]
+NonNegative = Annotated[float, ">= 0", lambda v: 0.0 <= v < math.inf]
+Fraction = Annotated[float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0]
+FractionBelowOne = Annotated[float, "in [0, 1)", lambda v: 0.0 <= v < 1.0]
+
+
+@functools.cache
+def _number_rules(cls: type) -> tuple[tuple, ...]:
+    """``(field, optional, text, test)`` for each number field of
+    dataclass ``cls``, read once from its annotations."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    rules = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        args = typing.get_args(hint)
+        optional = type(None) in args
+        if optional:  # X | None
+            hint, = (a for a in args if a is not type(None))
+        text, test = "finite", math.isfinite
+        if typing.get_origin(hint) is Annotated:
+            hint, text, test = typing.get_args(hint)
+        if hint is float:
+            rules.append((f.name, optional, text, test))
+    return tuple(rules)
+
+
+def check_fields(self) -> None:
+    """Reject any number field of config dataclass ``self`` that is not
+    finite or breaks its annotation's constraint, with ``ValueError("<field>
+    must be <text>, got <value>")``; ``None`` passes an optional field."""
+    for name, optional, text, test in _number_rules(type(self)):
+        value = getattr(self, name)
+        if not ((value is None and optional) or test(value)):
+            rule = text if math.isfinite(value) else "finite"
+            raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def validate_kind(kind: str) -> str:
@@ -38,22 +86,24 @@ def validate_kind(kind: str) -> str:
     return kind
 
 
+def validate_responsive_kind(kind: str) -> str:
+    """``validate_kind``, also rejecting ``"none"``, which has no response."""
+    if validate_kind(kind) == "none":
+        raise ValueError("controller kind 'none' has no response; choose "
+                         "droop, inertia or combined")
+    return kind
+
+
 @dataclass(frozen=True)
 class DroopConfig:
     """Proportional droop path. ``r`` is the droop on the plant nameplate
     base (0.05 = 5%: a 5% frequency deviation commands 100% of nameplate)."""
 
-    r: float = 0.05
-    deadband: float = 0.0006
-    t_lag: float = 0.1
+    r: Positive = 0.05
+    deadband: NonNegative = 0.0006
+    t_lag: Positive = 0.1
 
-    def __post_init__(self) -> None:
-        if self.r <= 0.0:
-            raise ValueError(f"droop r must be > 0, got {self.r}")
-        if self.deadband < 0.0:
-            raise ValueError(f"deadband must be >= 0, got {self.deadband}")
-        if self.t_lag <= 0.0:
-            raise ValueError(f"t_lag must be > 0, got {self.t_lag}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -66,21 +116,13 @@ class InertiaConfig:
     A non-zero band remains available for noisy frequency feeds.
     """
 
-    k: float = 10.0
-    deadband: float = 0.0
-    t_lag: float = 0.02
-    t_washout: float = 0.05
+    k: NonNegative = 10.0
+    deadband: NonNegative = 0.0
+    t_lag: Positive = 0.02
+    t_washout: Positive = 0.05
     recovery_clamp: bool = False
 
-    def __post_init__(self) -> None:
-        if self.k < 0.0:
-            raise ValueError(f"inertia k must be >= 0, got {self.k}")
-        if self.deadband < 0.0:
-            raise ValueError(f"deadband must be >= 0, got {self.deadband}")
-        if self.t_lag <= 0.0:
-            raise ValueError(f"t_lag must be > 0, got {self.t_lag}")
-        if self.t_washout <= 0.0:
-            raise ValueError(f"t_washout must be > 0, got {self.t_washout}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -93,27 +135,13 @@ class PVPlantConfig:
     headroom * available_power and down by -P0 (to zero output).
     """
 
-    c_pv: float = 0.4
-    headroom: float = 0.05
-    available_power: float = 1.0
-    t_inv: float = 0.05
-    rate_limit: float | None = None
+    c_pv: Positive = 0.4
+    headroom: FractionBelowOne = 0.05
+    available_power: Positive = 1.0
+    t_inv: Positive = 0.05
+    rate_limit: Positive | None = None
 
-    def __post_init__(self) -> None:
-        if self.c_pv <= 0.0:
-            raise ValueError(f"c_pv must be > 0, got {self.c_pv}")
-        if not 0.0 <= self.headroom < 1.0:
-            raise ValueError(
-                f"headroom must be in [0, 1), got {self.headroom}"
-            )
-        if self.available_power <= 0.0:
-            raise ValueError(
-                f"available_power must be > 0, got {self.available_power}"
-            )
-        if self.t_inv <= 0.0:
-            raise ValueError(f"t_inv must be > 0, got {self.t_inv}")
-        if self.rate_limit is not None and self.rate_limit <= 0.0:
-            raise ValueError(f"rate_limit must be > 0, got {self.rate_limit}")
+    __post_init__ = check_fields
 
     @property
     def operating_point(self) -> float:
@@ -157,7 +185,7 @@ def make_controller(spec: ControllerSpec, dt: float):
     is the droop command plus the inertia command; kind ``"none"`` has both
     paths off and returns 0.0.
     """
-    kind = validate_kind(spec.kind)
+    kind = spec.kind
     droop_on = kind in ("droop", "combined")
     inertia_on = kind in ("inertia", "combined")
     dcfg = spec.droop

@@ -135,6 +135,12 @@ class TestCompliance:
     def test_none_controller_exits_1(self, capsys):
         assert run_cli("compliance", "--preset", "ei80") == 1
 
+    def test_non_finite_threshold_exits_1(self, capsys):
+        code = run_cli("compliance", "--preset", "ei80", "--controller",
+                       "droop", "--max-rise", "nan")
+        assert code == 1
+        assert "max_rise must be finite" in capsys.readouterr().err
+
     def test_tight_threshold_fails(self, capsys):
         code = run_cli("compliance", "--preset", "ei80", "--controller",
                        "droop", "--set", "controller.droop.deadband=0.0",
@@ -174,6 +180,18 @@ class TestHeadroom:
                        "combined", "--target", "59.95",
                        "--set", "sim.t_end=30.0")
         assert code == 2
+
+    def test_non_finite_target_exits_1(self, capsys):
+        code = run_cli("headroom", "--preset", "ei80", "--controller",
+                       "droop", "--target", "nan")
+        assert code == 1
+        assert "target_nadir_hz must be finite" in capsys.readouterr().err
+
+    def test_none_controller_exits_1(self, capsys):
+        code = run_cli("headroom", "--preset", "ei80", "--controller",
+                       "none", "--target", "59.5")
+        assert code == 1
+        assert "'none' has no response" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -84,6 +84,15 @@ class TestRunStepTest:
                              step_time=0.994)
         assert resp.y[-2] == 0.0 < resp.y[-1]
 
+    @pytest.mark.parametrize("step_time", [-0.5, -0.0025, math.nan])
+    def test_negative_or_non_finite_step_time_rejected(self, step_time):
+        # A negative time would switch the step on at t = 0 (or round
+        # -0.0025 up to step 1) and grade every time that late.
+        with pytest.raises(ValueError, match="^step_time must be finite "
+                                             "and >= 0"):
+            run_step_test(droop_spec(), PVPlantConfig(headroom=0.1),
+                          step_time=step_time)
+
     def test_step_after_last_sample_rejected(self):
         # 2.01 is before t_end but after the last whole sample, t = 2.0.
         sim = SimConfig(t_end=2.035, sample_interval=0.04)

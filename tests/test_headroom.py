@@ -131,6 +131,19 @@ class TestMinHeadroomForNadir:
             HeadroomQuery(scenario=scenario, controller="combined",
                           target_nadir_hz=61.0)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"h_max": 1.0}, r"^h_max must be in \[0, 1\), got 1\.0"),
+        ({"controller": "none"}, "'none' has no response"),
+        ({"controller": "bogus"}, "unknown controller kind 'bogus'"),
+    ])
+    def test_query_owns_the_sizer_input_rules(self, changes, message):
+        # Each of these used to pass the query and fail only once the
+        # sizer ran simulations.
+        fields = {"scenario": preset_scenario("ercot80"),
+                  "controller": "combined", "target_nadir_hz": 59.5}
+        with pytest.raises(ValueError, match=message):
+            HeadroomQuery(**{**fields, **changes})
+
     def test_counts_runs_and_exact_values_separately(self, monkeypatch):
         calls = []
 

@@ -129,8 +129,9 @@ class TestCombinedController:
             assert both(df) == d(df)
 
     def test_disabled_droop_degenerates_to_inertia(self):
-        # r = inf makes the proportional term exactly zero
-        both = combined(dcfg=DroopConfig(r=math.inf), dt=0.01)
+        # a deadband wider than every |df| below holds the droop input,
+        # and so its command, at exactly zero
+        both = combined(dcfg=DroopConfig(deadband=1.0), dt=0.01)
         i = inertia(dt=0.01)
         for k in range(200):
             df = -0.002 * math.sin(k * 0.05)

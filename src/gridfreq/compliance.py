@@ -78,8 +78,8 @@ def run_step_test(controller_spec: ControllerSpec,
     """Drive the controller with an underfrequency step and record the
     plant output (plant pu, before system-base scaling) over the horizon.
 
-    One zero-order-hold loop: each step holds the frequency deviation,
-    advances the controller, clamps the command into [down_limit,
+    The controller holds 0.0 up to the step and -step_magnitude after it;
+    one zero-order-hold loop then clamps each command into [down_limit,
     up_limit], limits its change to +/- rate_limit * dt when a rate limit
     is set, and advances the inverter lag. The step grid is
     ``SimConfig.step_grid``'s: the step switches on at the first step
@@ -93,7 +93,7 @@ def run_step_test(controller_spec: ControllerSpec,
     cfg = sim or SimConfig(t_end=20.0)
     dt = cfg.dt
     n_steps, stride, k_step = cfg.step_grid(step_time, "step_time")
-    controller = make_controller(controller_spec, dt)
+    hold = make_controller(controller_spec, dt)
     lo = plant_cfg.down_limit
     hi = plant_cfg.up_limit
     rate_limit = plant_cfg.rate_limit
@@ -105,14 +105,23 @@ def run_step_test(controller_spec: ControllerSpec,
     y = 0.0
     t_list = [0.0]
     y_list = [0.0]
-    for k in range(n_steps):
-        cmd = min(max(controller(df_step if k >= k_step else 0.0), lo), hi)
+    # Each if/elif clamp equals min(max(cmd, lower), upper), zero signs
+    # included, because its lower bound is never above its upper one.
+    cmds = hold(0.0, k_step) + hold(df_step, n_steps - k_step)
+    for k, cmd in enumerate(cmds, 1):
+        if cmd < lo:
+            cmd = lo
+        elif cmd > hi:
+            cmd = hi
         if rate_limit is not None:
-            cmd = min(max(cmd, prev - max_delta), prev + max_delta)
+            if cmd < prev - max_delta:
+                cmd = prev - max_delta
+            elif cmd > prev + max_delta:
+                cmd = prev + max_delta
             prev = cmd
         y += (cmd - y) * a_inv
-        if (k + 1) % stride == 0:
-            t_list.append((k + 1) * dt)
+        if k % stride == 0:
+            t_list.append(k * dt)
             y_list.append(y)
     return StepResponse(t=t_list, y=y_list, step_time=step_time,
                         step_magnitude=thr.step_magnitude)

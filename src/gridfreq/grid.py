@@ -10,6 +10,7 @@ rejects a value that breaks it or is not finite, naming the field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .pv import (Fraction, NonNegative, Positive, PVPlantConfig,
@@ -63,12 +64,16 @@ def steady_state_deviation(params: SystemParams, dp: float,
     """Quasi-steady frequency deviation (pu) after primary response settles.
 
     Analytic balance neglecting deadbands and limits:
-    delta_f = -dp / (kappa/r_gov + d_load [+ c_pv/r_droop]).
+    delta_f = -dp / (kappa/r_gov + d_load [+ c_pv/r_droop]). A non-finite
+    ``dp``, or with ``include_pv_droop`` an ``r_droop`` outside (0, inf),
+    raises ``ValueError`` naming the argument.
     """
+    if not math.isfinite(dp):
+        raise ValueError(f"dp must be finite, got {dp}")
     denom = params.governor.kappa / params.governor.r_gov + params.d_load
     if include_pv_droop:
-        if r_droop <= 0.0:
-            raise ValueError(f"r_droop must be > 0, got {r_droop}")
+        if not 0.0 < r_droop < math.inf:
+            raise ValueError(f"r_droop must be > 0 and finite, got {r_droop}")
         denom += params.pv.c_pv / r_droop
     if denom == 0.0:
         raise ValueError(

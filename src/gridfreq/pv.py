@@ -14,11 +14,11 @@ envelope clamps commands into the headroom band, optionally rate-limits
 them, applies the inverter lag, and scales to the system base.
 
 ``make_controller`` is the discrete controller of the open-loop compliance
-test, which runs it and the plant envelope in one loop
-(``compliance.run_step_test``). Its lags and washout use the exact
-zero-order-hold update, so a held input reproduces the continuous response
-at the sample instants for any step size. The closed-loop engine integrates
-the same paths as continuous states with RK4.
+test (``compliance.run_step_test``), whose input is held over runs of
+steps: ``hold(delta_f, n)`` returns the n commands of one run. Its lags and
+washout use the exact zero-order-hold update, so a held input reproduces
+the continuous response at the sample instants for any step size. The
+closed-loop engine integrates the same paths as continuous states with RK4.
 
 The config dataclasses here and in ``grid``, ``engine``, ``compliance`` and
 ``headroom`` declare each number field's constraint in its annotation, and
@@ -173,17 +173,18 @@ class ControllerSpec:
 
 def make_controller(spec: ControllerSpec, dt: float):
     """Discrete controller for a fixed step ``dt``: returns a
-    ``step(delta_f) -> cmd`` closure holding the three filter states.
+    ``hold(delta_f, n) -> cmds`` closure holding the three filter states.
 
-    Each call holds ``delta_f`` for one step and returns the sampled
-    post-update command in plant pu. Droop: deadband -> lag -> -1/r, so a
-    steady deviation df beyond the band settles to -(df -/+ band)/r.
-    Inertia: deadband -> lag -> gain k -> washout (output (u - x)/T), which
-    settles to -k * d(delta_f)/dt on a ramp. With ``recovery_clamp`` on,
-    inertia output whose sign would oppose arresting the event is zeroed:
-    clamped to >= 0 while delta_f < 0 and <= 0 while delta_f > 0. Combined
-    is the droop command plus the inertia command; kind ``"none"`` has both
-    paths off and returns 0.0.
+    Each call holds ``delta_f`` for ``n`` steps and returns the ``n``
+    sampled post-update commands in plant pu; the deadbands and the
+    recovery-clamp direction are evaluated once per call. Droop: deadband
+    -> lag -> -1/r, so a steady deviation df beyond the band settles to
+    -(df -/+ band)/r. Inertia: deadband -> lag -> gain k -> washout (output
+    (u - x)/T), which settles to -k * d(delta_f)/dt on a ramp. With
+    ``recovery_clamp`` on, inertia output whose sign would oppose arresting
+    the event is zeroed: clamped to >= 0 while delta_f < 0 and <= 0 while
+    delta_f > 0. Combined is the droop command plus the inertia command;
+    kind ``"none"`` has both paths off and commands 0.0.
     """
     kind = spec.kind
     droop_on = kind in ("droop", "combined")
@@ -191,46 +192,46 @@ def make_controller(spec: ControllerSpec, dt: float):
     dcfg = spec.droop
     icfg = spec.inertia
     r = dcfg.r
-    db_d = dcfg.deadband
     a_d = -math.expm1(-dt / dcfg.t_lag)
     k = icfg.k
-    db_i = icfg.deadband
     a_i = -math.expm1(-dt / icfg.t_lag)
     t_w = icfg.t_washout
     e_w = math.exp(-dt / t_w)
     clamp = icfg.recovery_clamp
     y_d = y_i = x_w = 0.0
 
-    def step(delta_f: float) -> float:
+    def hold(delta_f: float, n: int) -> list[float]:
         nonlocal y_d, y_i, x_w
-        cmd = 0.0
-        if droop_on:
-            if delta_f > db_d:
-                u = delta_f - db_d
-            elif delta_f < -db_d:
-                u = delta_f + db_d
-            else:
-                u = 0.0
-            y_d += (u - y_d) * a_d
-            cmd = -y_d / r
-        if inertia_on:
-            if delta_f > db_i:
-                u = delta_f - db_i
-            elif delta_f < -db_i:
-                u = delta_f + db_i
-            else:
-                u = 0.0
-            y_i += (u - y_i) * a_i
-            u_w = k * y_i
-            x_w = u_w + (x_w - u_w) * e_w
-            c_i = -((u_w - x_w) / t_w)
-            if clamp:
-                if delta_f < 0.0:
-                    c_i = max(c_i, 0.0)
-                elif delta_f > 0.0:
-                    c_i = min(c_i, 0.0)
-            # 0.0 + c_i would turn a -0.0 command into 0.0
-            cmd = cmd + c_i if droop_on else c_i
-        return cmd
+        u_d = _deadband(delta_f, dcfg.deadband)
+        u_i = _deadband(delta_f, icfg.deadband)
+        # the recovery clamp zeroes an inertia command of delta_f's sign;
+        # side is 0.0 when it is off or delta_f is zero
+        side = float((delta_f > 0.0) - (delta_f < 0.0)) if clamp else 0.0
+        cmds = []
+        for _ in range(n):
+            cmd = 0.0
+            if droop_on:
+                y_d += (u_d - y_d) * a_d
+                cmd = -y_d / r
+            if inertia_on:
+                y_i += (u_i - y_i) * a_i
+                u_w = k * y_i
+                x_w = u_w + (x_w - u_w) * e_w
+                c_i = -((u_w - x_w) / t_w)
+                if c_i * side > 0.0:
+                    c_i = 0.0
+                # 0.0 + c_i would turn a -0.0 command into 0.0
+                cmd = cmd + c_i if droop_on else c_i
+            cmds.append(cmd)
+        return cmds
 
-    return step
+    return hold
+
+
+def _deadband(delta_f: float, band: float) -> float:
+    """Offset-style deadband: zero inside +/-band, shifted linear outside."""
+    if delta_f > band:
+        return delta_f - band
+    if delta_f < -band:
+        return delta_f + band
+    return 0.0

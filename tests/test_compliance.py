@@ -167,6 +167,18 @@ class TestOracleDifferential:
               0.9973))
     @example((ControllerSpec(kind="inertia"), PVPlantConfig(),
               ComplianceThresholds(), SimConfig(t_end=3.0), 1.0))
+    # no headroom: the up limit is 0.0 and every upward command is cut
+    @example((_COMBINED, PVPlantConfig(headroom=0.0),
+              ComplianceThresholds(), SimConfig(t_end=4.0), 1.0))
+    # a slow rate limit: 0.04 pu at 0.01 pu/s binds for 4 of the 4.5 s
+    @example((droop_spec(t_lag=0.05), PVPlantConfig(rate_limit=0.01),
+              ComplianceThresholds(), SimConfig(t_end=5.0), 0.5))
+    # both deadbands wider than the step: the response stays zero
+    @example((ControllerSpec(kind="combined",
+                             droop=DroopConfig(deadband=0.004),
+                             inertia=InertiaConfig(deadband=0.003)),
+              PVPlantConfig(), ComplianceThresholds(), SimConfig(t_end=3.0),
+              1.0))
     def test_equals_reference(self, case):
         spec, plant, thresholds, sim, step_time = case
         got = run_step_test(spec, plant, thresholds, sim, step_time)

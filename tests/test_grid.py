@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from gridfreq.engine import SimConfig, run_simulation
@@ -62,6 +64,20 @@ class TestSteadyStateDeviation:
             governor=GovernorFleet(kappa=0.0))
         with pytest.raises(ValueError, match="no responsive"):
             steady_state_deviation(params, 0.02)
+
+    @pytest.mark.parametrize("dp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_disturbance_rejected(self, dp):
+        with pytest.raises(ValueError, match=r"^dp must be finite, got "):
+            steady_state_deviation(SystemParams(h_sys=3.0), dp)
+
+    @pytest.mark.parametrize("r_droop", [math.nan, math.inf, -math.inf,
+                                         0.0])
+    def test_droop_outside_open_interval_rejected(self, r_droop):
+        # r_droop=inf used to drop the PV droop term without a word
+        with pytest.raises(ValueError, match=r"^r_droop must be > 0 and "
+                                             r"finite, got "):
+            steady_state_deviation(SystemParams(h_sys=3.0), 0.02,
+                                   include_pv_droop=True, r_droop=r_droop)
 
 
 class TestPresets:

@@ -2,8 +2,9 @@
 
 The harness self-tests run in a subprocess exactly as documented in
 ``perfbench/README.md``. The seed-0 ``sizing`` pool runs in process through
-``perfbench/workloads.py``, so a sizer regression fails here and not only
-in a benchmark run.
+``perfbench/workloads.py``, and so does the seed-0 ``compliance`` pool, so
+a sizer or step-test regression fails here and not only in a benchmark
+run.
 """
 
 import importlib.util
@@ -47,4 +48,17 @@ def test_seed0_sizing_pool_matches_reference(workloads, tmp_path):
         outcome = workloads.summarize_sizing(case, raw)
         assert workloads.check_sizing(case, raw, outcome) == [], i
         # Exact, not only within the query tolerance the benchmark allows.
+        assert outcome == expected, i
+
+
+def test_seed0_compliance_pool_matches_reference(workloads, tmp_path):
+    cases = workloads.generate("compliance", workloads.DEFAULT_SEED,
+                               tmp_path)
+    reference = workloads.load_reference("compliance")
+    assert reference is not None and len(reference) == len(cases)
+    for i, (case, expected) in enumerate(zip(cases, reference)):
+        raw = workloads.run_compliance(case)
+        outcome = workloads.summarize_compliance(case, raw)
+        assert workloads.check_compliance(case, raw, outcome) == [], i
+        # Exact, not only within the tolerance the benchmark allows.
         assert outcome == expected, i

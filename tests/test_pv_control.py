@@ -13,17 +13,26 @@ from gridfreq.scenario import preset_scenario
 from zoh_reference import reference_controller
 
 
+def per_step(hold):
+    """``hold`` as a ``step(delta_f) -> cmd`` function: each call holds
+    ``delta_f`` for one step."""
+    return lambda delta_f: hold(delta_f, 1)[0]
+
+
 def droop(cfg=DroopConfig(), dt=0.005):
-    return make_controller(ControllerSpec(kind="droop", droop=cfg), dt)
+    return per_step(make_controller(ControllerSpec(kind="droop", droop=cfg),
+                                    dt))
 
 
 def inertia(cfg=InertiaConfig(), dt=0.005):
-    return make_controller(ControllerSpec(kind="inertia", inertia=cfg), dt)
+    return per_step(make_controller(ControllerSpec(kind="inertia",
+                                                   inertia=cfg), dt))
 
 
 def combined(dcfg=DroopConfig(), icfg=InertiaConfig(), dt=0.005):
-    return make_controller(ControllerSpec(kind="combined", droop=dcfg,
-                                          inertia=icfg), dt)
+    return per_step(make_controller(ControllerSpec(kind="combined",
+                                                   droop=dcfg,
+                                                   inertia=icfg), dt))
 
 
 def settle(step, delta_f, dt=0.005, seconds=25.0):
@@ -158,37 +167,73 @@ class TestCombinedController:
         assert out == pytest.approx(0.11133, rel=0.01)
 
 
-class TestReferenceDifferential:
-    """The closure equals the block-per-object reference bit for bit on
-    any deviation sequence, including ones that trip the recovery clamp
-    (an open-loop step never does)."""
-
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.sampled_from(["none", "droop", "inertia", "combined"]),
-           st.builds(DroopConfig, r=st.floats(0.02, 0.1),
-                     deadband=st.floats(0.0, 0.003),
-                     t_lag=st.floats(0.01, 1.0)),
-           st.builds(InertiaConfig, k=st.floats(0.0, 15.0),
+KINDS = st.sampled_from(["none", "droop", "inertia", "combined"])
+DROOPS = st.builds(DroopConfig, r=st.floats(0.02, 0.1),
+                   deadband=st.floats(0.0, 0.003),
+                   t_lag=st.floats(0.01, 1.0))
+INERTIAS = st.builds(InertiaConfig, k=st.floats(0.0, 15.0),
                      deadband=st.floats(0.0, 0.003),
                      t_lag=st.floats(0.01, 0.2),
                      t_washout=st.floats(0.02, 0.5),
-                     recovery_clamp=st.booleans()),
-           st.sampled_from([0.001, 0.005, 0.02]),
+                     recovery_clamp=st.booleans())
+DTS = st.sampled_from([0.001, 0.005, 0.02])
+# zeros of both signs hold the recovery clamp off
+DEVIATIONS = st.one_of(st.floats(-0.01, 0.01), st.sampled_from([0.0, -0.0]))
+
+
+def signed(values):
+    """``values`` with each zero's sign made visible to ``==``."""
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+class TestReferenceDifferential:
+    """``hold`` equals the block-per-object reference bit for bit on any
+    deviation sequence, including ones that trip the recovery clamp (an
+    open-loop step never does)."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(KINDS, DROOPS, INERTIAS, DTS,
            st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=200))
     def test_equals_reference(self, kind, dcfg, icfg, dt, deviations):
         spec = ControllerSpec(kind=kind, droop=dcfg, inertia=icfg)
-        step = make_controller(spec, dt)
+        step = per_step(make_controller(spec, dt))
         ref = reference_controller(spec)
         for df in deviations:
             assert step(df) == ref.step(df, dt)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(KINDS, DROOPS, INERTIAS, DTS,
+           st.lists(st.tuples(DEVIATIONS, st.integers(1, 50)), min_size=1,
+                    max_size=20))
+    def test_held_runs_equal_reference(self, kind, dcfg, icfg, dt, runs):
+        spec = ControllerSpec(kind=kind, droop=dcfg, inertia=icfg)
+        hold = make_controller(spec, dt)
+        ref = reference_controller(spec)
+        for df, n in runs:
+            want = [ref.step(df, dt) for _ in range(n)]
+            assert signed(hold(df, n)) == signed(want)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(KINDS, DROOPS, INERTIAS, DTS, DEVIATIONS, st.integers(0, 50),
+           st.integers(0, 50))
+    def test_split_hold_equals_one_hold(self, kind, dcfg, icfg, dt, df, m,
+                                        n):
+        spec = ControllerSpec(kind=kind, droop=dcfg, inertia=icfg)
+        split = make_controller(spec, dt)
+        whole = make_controller(spec, dt)
+        assert signed(split(df, m) + split(df, n)) == signed(
+            whole(df, m + n))
 
 
 def stub_controller(monkeypatch, cmd):
     """Replace the controller that ``run_step_test`` builds with one that
     commands ``cmd`` once the step is on, to drive the plant envelope
     directly."""
+    def hold(delta_f, n):
+        return [cmd if delta_f else 0.0] * n
+
     monkeypatch.setattr(gridfreq.compliance, "make_controller",
-                        lambda spec, dt: lambda df: cmd if df else 0.0)
+                        lambda spec, dt: hold)
 
 
 def step_response(plant, spec=ControllerSpec(kind="droop"), **sim):
@@ -275,8 +320,8 @@ class TestPVPlant:
 
 class TestControllerFactory:
     def test_kinds(self):
-        assert make_controller(ControllerSpec(kind="none"), 0.01)(-0.01) \
-            == 0.0
+        assert per_step(make_controller(ControllerSpec(kind="none"),
+                                        0.01))(-0.01) == 0.0
         both, d, i = combined(dt=0.01), droop(dt=0.01), inertia(dt=0.01)
         assert both(-0.01) == d(-0.01) + i(-0.01)
 

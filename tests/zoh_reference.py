@@ -1,11 +1,12 @@
 """Block-per-object zero-order-hold (ZOH) reference for the PV controller
 and plant envelope.
 
-An independent oracle for the shipped closure (``gridfreq.pv
-.make_controller``) and the one-loop open-loop test
+An independent oracle for the shipped held-input controller (``gridfreq
+.pv.make_controller``) and the one-loop open-loop test
 (``gridfreq.compliance.run_step_test``): every filter is its own object
-that recomputes its coefficient on each step, and the envelope applies the
-magnitude clamp and rate limit through ``LimitSpec``. The step grid (the
+that recomputes its coefficient and re-applies the deadband and recovery
+clamp on each step, and the envelope applies the magnitude clamp and rate
+limit through ``LimitSpec``'s ``min``/``max``. The step grid (the
 step count, the sample stride and the first step at or after
 ``step_time``) is ``SimConfig.step_grid``'s, as in the shipped loop.
 The tests compare the two with ``==``; both keep the same float operation

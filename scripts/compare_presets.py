@@ -27,7 +27,7 @@ def main() -> None:
         table = {}
         for kind in CONTROLLER_KINDS:
             # One run per kind gives both the trace CSV and the metrics.
-            trace = run_simulation(scenario, controller=kind)
+            trace = run_simulation(preset_scenario(preset, controller=kind))
             with open(outdir / f"{preset}_{kind}_trace.csv", "w") as sink:
                 write_trace_csv(trace, sink)
             m = table[kind] = compute_frequency_metrics(

@@ -8,10 +8,9 @@ step-response thresholds (it passes) and then through the ercot80 design
 contingency, where its nadir falls well below a 59.5 Hz floor.
 """
 
-from gridfreq import (ComplianceThresholds, SimConfig,
-                      compute_frequency_metrics, evaluate_compliance,
-                      format_report, preset_scenario, run_simulation,
-                      run_step_test, set_param)
+from gridfreq import (ComplianceThresholds, compute_frequency_metrics,
+                      evaluate_compliance, format_report, preset_scenario,
+                      run_simulation, run_step_test, set_param)
 
 TARGET_NADIR = 59.5
 
@@ -27,7 +26,7 @@ def main() -> None:
     report = evaluate_compliance(response)
     print(format_report(report))
 
-    trace = run_simulation(scenario, sim=SimConfig(t_end=30.0))
+    trace = run_simulation(set_param(scenario, "sim.t_end", 30.0))
     metrics = compute_frequency_metrics(trace, scenario.contingency.t_event)
     print(f"\nclosed-loop ercot80 contingency: nadir "
           f"{metrics.nadir_hz:.4f} Hz vs {TARGET_NADIR} Hz floor -> "

@@ -4,7 +4,8 @@ Subcommands::
 
     simulate    run one scenario, write the trace CSV (+ metrics CSV)
     compare     run all four controller kinds, write the metrics table
-    compliance  open-loop step-response test, text report + optional JSON
+    compliance  open-loop step-response test over the scenario's sim
+                settings, text report + optional JSON
     headroom    minimum headroom meeting a nadir target (bisection)
     sweep       metrics table over a range of one numeric parameter
 
@@ -28,7 +29,7 @@ from .headroom import (HeadroomQuery, NonMonotoneError, UnattainableError,
                        min_headroom_for_nadir, sweep_param)
 from .metrics import compare_controllers, compute_frequency_metrics
 from .pv import CONTROLLER_KINDS
-from .scenario import (Scenario, ScenarioError, parse_scenario,
+from .scenario import (Scenario, ScenarioError, _with_kind, parse_scenario,
                        parse_set_value, preset_scenario, set_param)
 
 EXIT_OK = 0
@@ -68,10 +69,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         scenario = set_param(scenario, path.strip(),
                              parse_set_value(raw))
     if args.controller:
-        scenario = dataclasses.replace(
-            scenario,
-            controller=dataclasses.replace(scenario.controller,
-                                           kind=args.controller))
+        scenario = _with_kind(scenario, args.controller)
     return scenario
 
 
@@ -109,9 +107,8 @@ def _cmd_compliance(args: argparse.Namespace) -> int:
     thresholds = ComplianceThresholds(
         **{f.name: getattr(args, f.name)
            for f in dataclasses.fields(ComplianceThresholds)})
-    sim = dataclasses.replace(scenario.sim, t_end=args.t_end)
     response = run_step_test(scenario.controller, scenario.system.pv,
-                             thresholds, sim=sim)
+                             thresholds, sim=scenario.sim)
     report = evaluate_compliance(
         response, thresholds,
         config={"scenario": scenario.name,
@@ -149,7 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioError(
             f"--values expects comma-separated numbers, got "
             f"{args.values!r}") from None
-    rows = sweep_param(scenario, controller, args.param, values)
+    rows = sweep_param(scenario, args.param, values)
     csv_rows = [(f"{scenario.name}[{args.param}={v:g}]", controller, m)
                 for v, m in rows]
     with open(args.out, "w", newline="") as sink:
@@ -181,8 +178,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compliance", help="open-loop step-response test")
     _add_scenario_args(p)
     p.add_argument("--out", help="JSON report path")
-    p.add_argument("--t-end", type=float, default=20.0,
-                   help="test horizon in seconds (default 20)")
     # --step-magnitude, --max-reaction, ... --settling-band
     for f in dataclasses.fields(ComplianceThresholds):
         p.add_argument("--" + f.name.replace("_", "-"), type=float,

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .pv import Positive, check_fields, validate_kind
+from .pv import Positive, check_fields
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -135,22 +135,21 @@ class Trace:
         return len(self.t)
 
 
-def run_simulation(scenario: "Scenario", controller: str | None = None,
-                   sim: SimConfig | None = None,
+def run_simulation(scenario: "Scenario", sim: SimConfig | None = None,
                    stop_below_hz: float | None = None) -> Trace:
-    """Simulate ``scenario`` and return the sampled trace.
+    """Simulate ``scenario`` under its controller kind and return the
+    sampled trace.
 
-    ``controller`` overrides the scenario's controller kind; ``sim``
-    overrides its integration settings. With ``stop_below_hz`` the run
-    ends after the first sample whose frequency is below it, and the trace
-    is an exact prefix of the full one. The step grid is
-    ``SimConfig.step_grid``'s, so a contingency that would not switch on
-    before the last sample raises ``ValueError``. A final state that is not
-    finite raises ``ValueError`` naming ``sim.dt`` and the fastest active
-    time constant.
+    ``sim``, when given, replaces ``scenario.sim``; nothing in the package
+    passes it, and the benchmark harness in ``perfbench/`` still does.
+    With ``stop_below_hz`` the run ends after the first sample whose
+    frequency is below it, and the trace is an exact prefix of the full
+    one. The step grid is ``SimConfig.step_grid``'s, so a contingency that
+    would not switch on before the last sample raises ``ValueError``. A
+    final state that is not finite raises ``ValueError`` naming ``sim.dt``
+    and the fastest active time constant.
     """
-    kind = validate_kind(controller if controller is not None
-                         else scenario.controller.kind)
+    kind = scenario.controller.kind
     cfg = sim if sim is not None else scenario.sim
     system = scenario.system
     contingency = scenario.contingency

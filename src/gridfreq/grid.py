@@ -10,11 +10,14 @@ rejects a value that breaks it or is not finite, naming the field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .pv import (Fraction, NonNegative, Positive, PVPlantConfig,
                  check_fields)
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -58,28 +61,24 @@ class Contingency:
     __post_init__ = check_fields
 
 
-def steady_state_deviation(params: SystemParams, dp: float,
-                           include_pv_droop: bool = False,
-                           r_droop: float = 0.05) -> float:
+def steady_state_deviation(scenario: "Scenario") -> float:
     """Quasi-steady frequency deviation (pu) after primary response settles.
 
-    Analytic balance neglecting deadbands and limits:
-    delta_f = -dp / (kappa/r_gov + d_load [+ c_pv/r_droop]). A non-finite
-    ``dp``, or with ``include_pv_droop`` an ``r_droop`` outside (0, inf),
-    raises ``ValueError`` naming the argument.
+    Analytic balance of ``scenario``'s contingency, neglecting deadbands
+    and limits: delta_f = -dp / (kappa/r_gov + d_load [+ c_pv/r]), where
+    the PV droop term, with the droop path's ``r``, counts when the
+    controller kind is droop or combined. With no responsive resource the
+    denominator is zero and ``ValueError`` is raised.
     """
-    if not math.isfinite(dp):
-        raise ValueError(f"dp must be finite, got {dp}")
-    denom = params.governor.kappa / params.governor.r_gov + params.d_load
-    if include_pv_droop:
-        if not 0.0 < r_droop < math.inf:
-            raise ValueError(f"r_droop must be > 0 and finite, got {r_droop}")
-        denom += params.pv.c_pv / r_droop
+    system = scenario.system
+    denom = system.governor.kappa / system.governor.r_gov + system.d_load
+    if scenario.controller.kind in ("droop", "combined"):
+        denom += system.pv.c_pv / scenario.controller.droop.r
     if denom == 0.0:
         raise ValueError(
             "no responsive resources: kappa/r_gov + d_load is zero"
         )
-    return -dp / denom
+    return -scenario.contingency.dp / denom
 
 
 # Desk-scale stand-ins for high-renewable interconnection equivalents.

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .engine import SimConfig, run_simulation
+from .engine import run_simulation
 from .metrics import (FrequencyMetrics, _first_index_at_or_after,
                       compute_frequency_metrics)
 from .pv import (FractionBelowOne, Positive, check_fields,
                  validate_responsive_kind)
-from .scenario import Scenario, set_param, valid_param_paths
+from .scenario import Scenario, _with_kind, set_param, valid_param_paths
 
 
 class UnattainableError(RuntimeError):
@@ -31,6 +31,9 @@ class NonMonotoneError(RuntimeError):
 
 @dataclass(frozen=True)
 class HeadroomQuery:
+    """A sizing question: the sizer runs ``scenario`` under
+    ``controller``, a responsive kind that replaces the scenario's own."""
+
     scenario: Scenario
     controller: str
     target_nadir_hz: float
@@ -67,11 +70,12 @@ class HeadroomResult:
     evaluations: dict[float, float] = field(default_factory=dict)
 
 
-def min_headroom_for_nadir(query: HeadroomQuery,
-                           sim: SimConfig | None = None) -> HeadroomResult:
+def min_headroom_for_nadir(query: HeadroomQuery) -> HeadroomResult:
     """Smallest headroom (within tolerance) whose nadir meets the target.
 
-    The nadir here is the minimum sampled frequency after the event, the
+    Every run is ``query.scenario`` under ``query.controller``, with the
+    scenario's own ``sim`` settings and the probed headroom. The nadir
+    here is the minimum sampled frequency after the event, the
     load-shedding meaning of the target. Two shortcuts leave every answer
     bit-identical to plain bisection over full runs:
 
@@ -82,6 +86,7 @@ def min_headroom_for_nadir(query: HeadroomQuery,
     * Where only the pass/fail bit is needed, a run stops at the first
       sample below the target.
     """
+    scenario = _with_kind(query.scenario, query.controller)
     target = query.target_nadir_hz
     evaluations: dict[float, float] = {}
     # (cmd_min, cmd_max, nadir) of completed runs inside their envelope.
@@ -90,15 +95,14 @@ def min_headroom_for_nadir(query: HeadroomQuery,
 
     def evaluate(h: float, stop_below_hz: float | None) -> float:
         nonlocal n_runs
-        s = set_param(query.scenario, "system.pv.headroom", h)
+        s = set_param(scenario, "system.pv.headroom", h)
         pv = s.system.pv
         for c_lo, c_hi, value in free_runs:
             if pv.down_limit <= c_lo and c_hi <= pv.up_limit:
                 evaluations[h] = value
                 return value
         n_runs += 1
-        trace = run_simulation(s, controller=query.controller, sim=sim,
-                               stop_below_hz=stop_below_hz)
+        trace = run_simulation(s, stop_below_hz=stop_below_hz)
         start = _first_index_at_or_after(trace.t, s.contingency.t_event)
         value = min(trace.f_hz[start:])
         if stop_below_hz is not None and value < stop_below_hz:
@@ -175,11 +179,10 @@ def bisect_min_headroom(nadir: Callable[[float], float], target: float,
     return hi
 
 
-def sweep_param(scenario: Scenario, controller: str, param_path: str,
-                values: list[float],
-                sim: SimConfig | None = None,
+def sweep_param(scenario: Scenario, param_path: str, values: list[float]
                 ) -> list[tuple[float, FrequencyMetrics]]:
-    """One metrics row per value, in input order."""
+    """One metrics row per value, in input order: ``scenario`` run with
+    the field at ``param_path`` set to that value."""
     if param_path not in valid_param_paths():
         raise ValueError(
             f"unknown parameter path {param_path!r}; valid paths: "
@@ -188,7 +191,7 @@ def sweep_param(scenario: Scenario, controller: str, param_path: str,
     rows = []
     for v in values:
         s = set_param(scenario, param_path, v)
-        trace = run_simulation(s, controller=controller, sim=sim)
+        trace = run_simulation(s)
         rows.append((v, compute_frequency_metrics(
             trace, s.contingency.t_event, f0=s.system.f0)))
     return rows

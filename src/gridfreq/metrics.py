@@ -11,13 +11,11 @@ values do not snap to the sample grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .engine import SimConfig, Trace, run_simulation
+from .engine import Trace, run_simulation
 from .pv import CONTROLLER_KINDS
-
-if TYPE_CHECKING:
-    from .scenario import Scenario
+from .scenario import Scenario, _with_kind
 
 REACTION_FRACTION = 0.02
 RISE_FRACTIONS = (0.1, 0.9)
@@ -96,27 +94,6 @@ def compute_frequency_metrics(trace: Trace, t_event: float,
     )
 
 
-def max_abs_rocof_within(trace: Trace, t_event: float,
-                         horizon: float) -> float:
-    """Largest |rocof| over the window (t_event, t_event + horizon]."""
-    best = 0.0
-    for t, r in zip(trace.t, trace.rocof_hz_per_s):
-        if t_event < t <= t_event + horizon:
-            if abs(r) > best:
-                best = abs(r)
-    return best
-
-
-def initial_rocof(trace: Trace, t_event: float) -> float:
-    """Frequency slope over the first sample interval after the event
-    (Hz/s), before any response has had time to act."""
-    i = _first_index_at_or_after(trace.t, t_event)
-    if i + 1 >= len(trace.t):
-        raise ValueError("trace ends at t_event")
-    return (trace.f_hz[i + 1] - trace.f_hz[i]) \
-        / (trace.t[i + 1] - trace.t[i])
-
-
 def compute_step_response_metrics(
         t: Sequence[float], y: Sequence[float],
         step_time: float,
@@ -167,17 +144,17 @@ def compute_step_response_metrics(
     )
 
 
-def compare_controllers(scenario: "Scenario",
-                        sim: SimConfig | None = None,
-                        ) -> dict[str, FrequencyMetrics]:
+def compare_controllers(scenario: Scenario) -> dict[str, FrequencyMetrics]:
     """Run the scenario under every controller kind and tabulate metrics.
 
-    Returns one row per kind in the fixed order none, droop, inertia,
-    combined; repeated invocations produce identical tables.
+    Each run keeps the scenario's gains and settings and changes only its
+    controller kind. Returns one row per kind in the fixed order none,
+    droop, inertia, combined; repeated invocations produce identical
+    tables.
     """
     table: dict[str, FrequencyMetrics] = {}
     for kind in CONTROLLER_KINDS:
-        trace = run_simulation(scenario, controller=kind, sim=sim)
+        trace = run_simulation(_with_kind(scenario, kind))
         table[kind] = compute_frequency_metrics(
             trace, scenario.contingency.t_event, f0=scenario.system.f0)
     return table

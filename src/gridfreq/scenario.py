@@ -1,7 +1,9 @@
 """Scenario documents: parsing, validation, presets and serialization.
 
 A scenario is a single JSON document with four sections (system,
-controller, contingency, sim) plus a name. The config dataclasses are the
+controller, contingency, sim) plus a name, and it is the whole description
+of a run: the engine, the sizer, the sweeps and the CLI take the controller
+kind and the integration settings from it. The config dataclasses are the
 schema: a section's keys are its dataclass's fields, parsed as their
 annotations say. Every key is optional when a ``preset`` supplies the base
 values; unknown keys are rejected so typos fail loudly. Numeric fields can
@@ -48,6 +50,14 @@ def preset_scenario(name: str, controller: str = "none") -> Scenario:
         raise ScenarioError(str(exc)) from None
     return Scenario(system=system, contingency=contingency,
                     controller=ControllerSpec(kind=controller), name=name)
+
+
+def _with_kind(scenario: Scenario, kind: str) -> Scenario:
+    """``scenario`` with controller kind ``kind`` and its gains unchanged;
+    ``ControllerSpec`` rejects an unknown kind."""
+    return dataclasses.replace(
+        scenario,
+        controller=dataclasses.replace(scenario.controller, kind=kind))
 
 
 def _number(value: Any, path: str) -> float:

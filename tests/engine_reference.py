@@ -16,26 +16,23 @@ import math
 from typing import TYPE_CHECKING
 
 from gridfreq.engine import SimConfig, Trace, _fill_rocof
-from gridfreq.pv import validate_kind
 
 if TYPE_CHECKING:
     from gridfreq.scenario import Scenario
 
 
-def run_simulation(scenario: "Scenario", controller: str | None = None,
-                   sim: SimConfig | None = None,
+def run_simulation(scenario: "Scenario", sim: SimConfig | None = None,
                    stop_below_hz: float | None = None) -> Trace:
-    """Simulate ``scenario`` and return the sampled trace.
+    """Simulate ``scenario`` under its controller kind and return the
+    sampled trace.
 
-    ``controller`` overrides the scenario's controller kind; ``sim``
-    overrides its integration settings. With ``stop_below_hz`` the run
-    ends after the first sample whose frequency is below it, and the trace
-    is an exact prefix of the full one. A final state that is not finite
-    raises ``ValueError`` naming ``sim.dt`` and the fastest active time
-    constant.
+    ``sim``, when given, replaces ``scenario.sim``. With ``stop_below_hz``
+    the run ends after the first sample whose frequency is below it, and
+    the trace is an exact prefix of the full one. A final state that is not
+    finite raises ``ValueError`` naming ``sim.dt`` and the fastest active
+    time constant.
     """
-    kind = validate_kind(controller if controller is not None
-                         else scenario.controller.kind)
+    kind = scenario.controller.kind
     cfg = sim if sim is not None else scenario.sim
     system = scenario.system
     contingency = scenario.contingency

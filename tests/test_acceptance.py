@@ -13,10 +13,10 @@ from gridfreq.engine import SimConfig, run_simulation
 from gridfreq.headroom import HeadroomQuery, min_headroom_for_nadir
 from gridfreq.metrics import (compare_controllers,
                               compute_frequency_metrics,
-                              compute_step_response_metrics,
-                              initial_rocof, max_abs_rocof_within)
+                              compute_step_response_metrics)
 from gridfreq.scenario import (preset_scenario, scenario_from_dict,
                                set_param)
+from trace_probes import initial_rocof, max_abs_rocof_within
 
 PRESETS = ("ei80", "ercot80")
 T_EVENT = 1.0
@@ -41,9 +41,8 @@ def comparison():
 def rocof_traces():
     out = {}
     for name in PRESETS:
-        s = preset_scenario(name)
         for kind in ("none", "inertia"):
-            out[name, kind] = run_simulation(s, controller=kind)
+            out[name, kind] = run_simulation(preset_scenario(name, kind))
     return out
 
 
@@ -198,19 +197,19 @@ def test_c8_step_metric_oracles():
 
 
 def test_c9_headroom_bisection_matches_sweep():
-    scenario = preset_scenario("ercot80")
-    sim = SimConfig(t_end=30.0)
+    scenario = set_param(preset_scenario("ercot80", "combined"),
+                         "sim.t_end", 30.0)
     target = 59.5
     query = HeadroomQuery(scenario=scenario, controller="combined",
                           target_nadir_hz=target, h_max=0.5,
                           tolerance=0.001)
     t0 = time.perf_counter()
-    result = min_headroom_for_nadir(query, sim=sim)
+    result = min_headroom_for_nadir(query)
     elapsed = time.perf_counter() - t0
 
     def nadir(h):
         s = set_param(scenario, "system.pv.headroom", h)
-        trace = run_simulation(s, controller="combined", sim=sim)
+        trace = run_simulation(s)
         return compute_frequency_metrics(trace, T_EVENT).nadir_hz
 
     # independent oracle: exhaustive 0.0005-step sweep from zero upward
@@ -261,17 +260,18 @@ def test_c10_determinism_and_integrator_order():
 
 
 def test_c11_headroom_necessity():
-    base = preset_scenario("ercot80")
-    s0 = set_param(base, "system.pv.headroom", 0.0)
     max_pv = -math.inf
     nadirs = {}
     for kind in ("droop", "combined"):
-        trace = run_simulation(s0, controller=kind)
+        s0 = set_param(preset_scenario("ercot80", kind),
+                       "system.pv.headroom", 0.0)
+        trace = run_simulation(s0)
         max_pv = max(max_pv, max(trace.dp_pv_pu))
         nadirs[0.0, kind] = compute_frequency_metrics(
             trace, T_EVENT).nadir_hz
-    s5 = set_param(base, "system.pv.headroom", 0.05)
-    trace5 = run_simulation(s5, controller="combined")
+    s5 = set_param(preset_scenario("ercot80", "combined"),
+                   "system.pv.headroom", 0.05)
+    trace5 = run_simulation(s5)
     nadir5 = compute_frequency_metrics(trace5, T_EVENT).nadir_hz
     ok = max_pv <= 0.0 and nadir5 > nadirs[0.0, "combined"]
     check("C11 headroom necessity", ok,

@@ -1,5 +1,8 @@
-"""The public API contract: ``gridfreq.__all__`` is sound, and every name the
-scripts and the benchmark harness reach on the package still exists.
+"""The public API contract: ``gridfreq.__all__`` is sound, every name the
+scripts and the benchmark harness reach on the package still exists, and
+every keyword the harness passes and every call argument its tracer reads is
+still a parameter of the function it reaches, and README's Python examples
+run.
 
 The scripts and harness are parsed with ``ast``, not run, so a later trim of
 the API fails here instead of breaking them silently.
@@ -7,6 +10,10 @@ the API fails here instead of breaking them silently.
 
 import ast
 import importlib
+import importlib.util
+import inspect
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -56,3 +63,82 @@ def test_benchmark_names_exist(name, tree):
     missing = sorted(f"{module}.{attr}" for module, attr in used
                      if not hasattr(importlib.import_module(module), attr))
     assert missing == [], name
+
+
+def _callee(func):
+    """The object a ``gridfreq.<a>.<b>(...)`` call reaches, or None."""
+    chain = []
+    while isinstance(func, ast.Attribute):
+        chain.append(func.attr)
+        func = func.value
+    if not (isinstance(func, ast.Name) and func.id == "gridfreq" and chain):
+        return None
+    obj = gridfreq
+    for attr in reversed(chain):
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_benchmark_call_keywords_are_parameters():
+    # Each keyword the benchmark passes to a gridfreq callable must still
+    # be one of its parameters, so a trimmed signature fails here and not
+    # in a benchmark run.
+    checked = set()
+    unknown = []
+    for name, tree in _trees("perfbench/*.py"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _callee(node.func)
+            if callee is None:
+                continue
+            params = inspect.signature(callee).parameters
+            for kw in node.keywords:
+                if kw.arg is None:
+                    continue
+                checked.add((callee.__name__, kw.arg))
+                if kw.arg not in params:
+                    unknown.append(f"{name}: {callee.__name__}({kw.arg}=)")
+    assert unknown == []
+    assert {("run_simulation", "sim"), ("run_step_test", "sim"),
+            ("HeadroomQuery", "controller")} <= checked
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counters_read_parameters_of_what_they_wrap():
+    # A counter reads arguments["<key>"] from the bound call of every
+    # function it is installed on, so each key must be a parameter there.
+    missing = []
+    read = set()
+    for module, attr, _, _, counter in _tracer().TARGETS:
+        if counter is None:
+            continue
+        keys = {node.slice.value
+                for node in ast.walk(ast.parse(textwrap.dedent(
+                    inspect.getsource(counter))))
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "arguments"
+                and isinstance(node.slice, ast.Constant)}
+        params = inspect.signature(
+            getattr(importlib.import_module(module), attr)).parameters
+        read |= {(attr, key) for key in keys}
+        missing += [f"{module}.{attr}: {key}" for key in sorted(keys)
+                    if key not in params]
+    assert missing == []
+    assert ("run_simulation", "sim") in read
+
+
+def test_readme_python_examples_run():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -1,10 +1,66 @@
+"""Analytic checks of the shipped control blocks.
+
+The deadband is ``pv._deadband``. The lag and the washout are the droop and
+inertia paths of ``pv.make_controller``'s held-input controller, reduced to
+the bare block by their gains. The plant envelope is the magnitude clamp
+and rate limit inside ``compliance.run_step_test``, fed scripted commands
+by a stub controller.
+"""
+
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zoh_reference import Deadband, FirstOrderLag, LimitSpec, Washout
+from gridfreq import compliance
+from gridfreq.compliance import run_step_test
+from gridfreq.engine import SimConfig
+from gridfreq.pv import (ControllerSpec, DroopConfig, InertiaConfig,
+                         PVPlantConfig, _deadband, make_controller)
+
+
+def droop_lag(t_const, dt):
+    """The droop path as a bare lag: no deadband and r = 1, so each
+    command is exactly minus the lag state. ``lag(u, n)`` holds ``u`` for
+    ``n`` steps and returns the sampled states."""
+    hold = make_controller(ControllerSpec(
+        kind="droop",
+        droop=DroopConfig(r=1.0, deadband=0.0, t_lag=t_const)), dt)
+    return lambda u, n=1: [-c for c in hold(u, n)]
+
+
+def inertia_washout(t_washout, dt):
+    """The inertia path as a bare washout: no deadband, k = 1 and a lag
+    so fast that its update coefficient is exactly 1, so the lag passes
+    its input through. ``washout(u, n)`` returns the sampled outputs
+    (u - x)/T, minus the commands."""
+    hold = make_controller(ControllerSpec(
+        kind="inertia",
+        inertia=InertiaConfig(k=1.0, deadband=0.0, t_lag=1e-9,
+                              t_washout=t_washout)), dt)
+    return lambda u, n=1: [-c for c in hold(u, n)]
+
+
+def envelope(monkeypatch, cmds, headroom, rate_limit=None, dt=0.1):
+    """The step test's plant output when its controller requests ``cmds``
+    from the step on: a stub replaces the controller, and an inverter lag
+    so fast that its update coefficient is exactly 1 delivers each
+    enveloped command as the next sample."""
+    def stub(spec, step):
+        def hold(delta_f, n):
+            return [0.0] * n if delta_f == 0.0 else list(cmds[:n])
+        return hold
+
+    monkeypatch.setattr(compliance, "make_controller", stub)
+    plant = PVPlantConfig(headroom=headroom, t_inv=1e-9,
+                          rate_limit=rate_limit)
+    n = len(cmds)
+    response = run_step_test(
+        ControllerSpec(kind="droop"), plant,
+        sim=SimConfig(dt=dt, t_end=(n + 1) * dt, sample_interval=dt),
+        step_time=dt)
+    return response.y[2:]
 
 
 class TestDeadband:
@@ -19,24 +75,23 @@ class TestDeadband:
         ],
     )
     def test_values(self, width, u, expected):
-        assert Deadband(width).apply(u) == pytest.approx(expected,
-                                                         abs=1e-15)
+        assert _deadband(u, width) == pytest.approx(expected, abs=1e-15)
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
-            Deadband(-0.001)
+            DroopConfig(deadband=-0.001)
+        with pytest.raises(ValueError):
+            InertiaConfig(deadband=-0.001)
 
     @given(st.floats(min_value=-10, max_value=10),
            st.floats(min_value=0, max_value=1))
     def test_odd_function(self, u, width):
-        db = Deadband(width)
-        assert db.apply(-u) == -db.apply(u)
+        assert _deadband(-u, width) == -_deadband(u, width)
 
     @given(st.floats(min_value=-10, max_value=10),
            st.floats(min_value=1e-6, max_value=1))
     def test_continuous_at_band_edge(self, u, width):
-        db = Deadband(width)
-        out = db.apply(u)
+        out = _deadband(u, width)
         if abs(u) <= width:
             assert out == 0.0
         else:
@@ -46,29 +101,32 @@ class TestDeadband:
 
 class TestFirstOrderLag:
     def test_single_step_analytic(self):
-        lag = FirstOrderLag(1.0)
-        y = lag.step(1.0, 0.1)
+        y, = droop_lag(1.0, 0.1)(1.0)
         assert y == pytest.approx(1.0 - math.exp(-0.1), abs=1e-12)
         assert y == pytest.approx(0.0951626, abs=1e-7)
 
     def test_fixed_point(self):
-        lag = FirstOrderLag(0.7, y0=0.5)
         for dt in (0.001, 0.1, 3.0):
-            assert lag.step(0.5, dt) == 0.5
+            lag = droop_lag(0.7, dt)
+            y = lag(0.5, 3)[-1]
+            assert lag(y, 4) == [y] * 4
 
     def test_pass_through_limit(self):
-        lag = FirstOrderLag(0.001)
-        assert lag.step(1.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+        y, = droop_lag(0.001, 1.0)(1.0)
+        assert y == pytest.approx(1.0, abs=1e-9)
 
     def test_non_positive_time_constant_rejected(self):
         with pytest.raises(ValueError):
-            FirstOrderLag(0.0)
+            DroopConfig(t_lag=0.0)
         with pytest.raises(ValueError):
-            FirstOrderLag(-1.0)
+            DroopConfig(t_lag=-1.0)
+        with pytest.raises(ValueError):
+            InertiaConfig(t_lag=0.0)
 
     def test_negative_dt_rejected(self):
+        # The controller's step is the run's SimConfig.dt.
         with pytest.raises(ValueError):
-            FirstOrderLag(1.0).step(0.0, -0.1)
+            SimConfig(dt=-0.1)
 
     @given(st.floats(min_value=0.05, max_value=5),
            st.floats(min_value=0.001, max_value=0.5),
@@ -76,60 +134,55 @@ class TestFirstOrderLag:
            st.floats(min_value=-2, max_value=2),
            st.floats(min_value=-2, max_value=2))
     def test_exact_exponential_convergence(self, t_const, dt, n, y0, u):
-        """|y(n dt) - u| = |y0 - u| exp(-n dt / T): discretization exact."""
-        lag = FirstOrderLag(t_const, y0=y0)
-        for _ in range(n):
-            lag.step(u, dt)
+        """|y(n dt) - u| = |y0 - u| exp(-n dt / T): discretization exact,
+        from the state y0 one step toward an earlier input leaves."""
+        lag = droop_lag(t_const, dt)
+        y0 = lag(y0)[-1]
+        y = lag(u, n)[-1]
         expected = u + (y0 - u) * math.exp(-n * dt / t_const)
-        assert lag.y == pytest.approx(expected, abs=1e-12)
+        assert y == pytest.approx(expected, abs=1e-12)
 
     @given(st.floats(min_value=-1, max_value=1),
            st.floats(min_value=-1, max_value=1),
            st.floats(min_value=0.01, max_value=1))
     def test_stays_within_envelope(self, y0, u, dt):
-        lag = FirstOrderLag(0.3, y0=y0)
+        lag = droop_lag(0.3, dt)
+        y0 = lag(y0)[-1]
         lo, hi = min(y0, u), max(y0, u)
-        for _ in range(50):
-            y = lag.step(u, dt)
+        for y in lag(u, 50):
             assert lo - 1e-12 <= y <= hi + 1e-12
 
 
 class TestWashout:
     def test_constant_input_at_equilibrium(self):
-        w = Washout(0.1, x0=0.42)
-        assert w.step(0.42, 0.05) == 0.0
+        washout = inertia_washout(0.1, 0.05)
+        assert washout(0.0, 3) == [0.0] * 3
+        # a held 0.42 settles to zero within the rounding of its state
+        assert abs(washout(0.42, 200)[-1]) <= 1e-14
 
     def test_step_response_decays_analytically(self):
         # step 0 -> 1 with T=0.1: output 10 exp(-t/0.1) at the samples
-        w = Washout(0.1)
-        assert w.output(1.0) == pytest.approx(10.0, abs=1e-12)
         dt = 0.02
-        for k in range(1, 20):
-            y = w.step(1.0, dt)
+        for k, y in enumerate(inertia_washout(0.1, dt)(1.0, 19), 1):
             assert y == pytest.approx(10.0 * math.exp(-k * dt / 0.1),
                                       abs=1e-10)
 
     def test_constant_decays_below_threshold(self):
-        w = Washout(0.1)
-        y = 1e9
-        t = 0.0
-        while t < 30 * 0.1:
-            y = w.step(1.0, 0.01)
-            t += 0.01
+        y = inertia_washout(0.1, 0.01)(1.0, 300)[-1]
         assert abs(y) < 1e-9
 
     def test_ramp_settles_to_slope(self):
-        w = Washout(0.1)
+        washout = inertia_washout(0.1, 0.001)
         m = -0.00833
         dt = 0.001
         y = 0.0
         for k in range(2000):  # 2 s = 20 washout time constants
-            y = w.step(m * k * dt, dt)
+            y, = washout(m * k * dt)
         assert y == pytest.approx(m, rel=0.01)
 
     def test_non_positive_time_constant_rejected(self):
         with pytest.raises(ValueError):
-            Washout(0.0)
+            InertiaConfig(t_washout=0.0)
 
 
 class TestLimitSpec:
@@ -137,37 +190,44 @@ class TestLimitSpec:
         "cmd, expected",
         [(0.05, 0.05), (0.15, 0.1), (-1.2, -0.9)],
     )
-    def test_magnitude_clamp(self, cmd, expected):
-        spec = LimitSpec(up_limit=0.1, down_limit=-0.9)
-        assert spec.apply(cmd) == expected
+    def test_magnitude_clamp(self, monkeypatch, cmd, expected):
+        # headroom 0.1 of available power 1: the envelope is [-0.9, 0.1]
+        assert envelope(monkeypatch, [cmd], headroom=0.1) == [expected]
 
-    def test_rate_limit(self):
-        spec = LimitSpec(up_limit=1.0, down_limit=-1.0, rate_limit=0.5)
-        assert spec.apply(0.2, prev=0.0, dt=0.1) == pytest.approx(0.05)
+    def test_rate_limit(self, monkeypatch):
+        y, = envelope(monkeypatch, [0.2], headroom=0.5, rate_limit=0.5,
+                      dt=0.1)
+        assert y == pytest.approx(0.05)
 
     def test_rate_limit_requires_dt(self):
-        spec = LimitSpec(up_limit=1.0, down_limit=-1.0, rate_limit=0.5)
+        # The rate limit's step is the run's SimConfig.dt.
         with pytest.raises(ValueError):
-            spec.apply(0.2, prev=0.0, dt=0.0)
+            SimConfig(dt=0.0)
 
     def test_inverted_limits_rejected(self):
+        # The envelope [-(1 - headroom), headroom] x available power holds
+        # zero; a headroom that would move either limit past it is rejected.
         with pytest.raises(ValueError):
-            LimitSpec(up_limit=-0.5, down_limit=0.5)
+            PVPlantConfig(headroom=-0.5)
+        with pytest.raises(ValueError):
+            PVPlantConfig(headroom=1.5)
 
     def test_non_positive_rate_rejected(self):
         with pytest.raises(ValueError):
-            LimitSpec(up_limit=1.0, down_limit=-1.0, rate_limit=0.0)
+            PVPlantConfig(rate_limit=0.0)
 
     @given(st.floats(min_value=-5, max_value=5),
            st.floats(min_value=-1, max_value=1),
            st.floats(min_value=0.01, max_value=1))
     def test_output_within_limits(self, cmd, prev, dt):
-        spec = LimitSpec(up_limit=1.0, down_limit=-1.0, rate_limit=2.0)
-        out = spec.apply(cmd, prev, dt)
-        assert -1.0 <= out <= 1.0
-        assert abs(out - prev) <= 2.0 * dt + 1e-12
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            out = envelope(monkeypatch, [prev, cmd], headroom=0.5,
+                           rate_limit=2.0, dt=dt)
+        steps = [b - a for a, b in zip([0.0] + out, out)]
+        assert all(-0.5 - 1e-12 <= y <= 0.5 + 1e-12 for y in out)
+        assert all(abs(d) <= 2.0 * dt + 1e-12 for d in steps)
 
-    @given(st.floats(min_value=-1, max_value=1))
+    @given(st.floats(min_value=-0.5, max_value=0.5))
     def test_idempotent_when_feasible(self, cmd):
-        spec = LimitSpec(up_limit=1.0, down_limit=-1.0)
-        assert spec.apply(cmd) == cmd
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert envelope(monkeypatch, [cmd], headroom=0.5) == [cmd]

@@ -151,7 +151,7 @@ class TestCompliance:
     @pytest.mark.parametrize("t_end", ["0.5", "1.0"])
     def test_horizon_before_step_exits_1(self, t_end, capsys):
         code = run_cli("compliance", "--preset", "ei80", "--controller",
-                       "droop", "--t-end", t_end)
+                       "droop", "--set", f"sim.t_end={t_end}")
         assert code == 1
         err = capsys.readouterr().err
         assert "sim.t_end" in err and "step_time" in err

@@ -169,7 +169,7 @@ class TestRunSimulation:
             for dp in dps:
                 s = set_param(set_param(base, "system.h_sys", h),
                               "contingency.dp", dp)
-                trace = run_simulation(s, controller="none", sim=sim)
+                trace = run_simulation(s, sim=sim)
                 nadir[h, dp] = compute_frequency_metrics(trace,
                                                          1.0).nadir_hz
         for dp in dps:
@@ -182,8 +182,7 @@ class TestRunSimulation:
     def test_governor_reserve_clamp(self):
         s = preset_scenario("ercot80")
         s = set_param(s, "system.governor.reserve_limit", 0.01)
-        trace = run_simulation(s, controller="none",
-                               sim=SimConfig(t_end=30.0))
+        trace = run_simulation(s, sim=SimConfig(t_end=30.0))
         assert max(trace.dp_gov_pu) <= 0.01 + 1e-12
         assert min(trace.dp_gov_pu) >= 0.0
 
@@ -200,11 +199,12 @@ class TestRunSimulation:
         assert slow_trace.dp_pv_pu[idx] < fast_trace.dp_pv_pu[idx]
 
     def test_overfrequency_event_mirrors_response(self):
-        s = scenario_from_dict({
+        doc = {
             "name": "over", "system": {"h_sys": 2.0},
             "controller": {"kind": "droop"},
             "contingency": {"dp": -0.02, "t_event": 1.0},
-        })
+        }
+        s = scenario_from_dict(doc)
         trace = run_simulation(s)
         # PV curtails and the governor backs off; neither adds power
         assert max(trace.dp_pv_pu) <= 0.0
@@ -212,8 +212,9 @@ class TestRunSimulation:
         assert min(trace.dp_pv_pu) >= -s.system.pv.c_pv \
             * s.system.pv.operating_point - 1e-9
         m = compute_frequency_metrics(trace, 1.0)
-        m_none = compute_frequency_metrics(
-            run_simulation(s, controller="none"), 1.0)
+        m_none = compute_frequency_metrics(run_simulation(
+            scenario_from_dict({**doc, "controller": {"kind": "none"}})),
+            1.0)
         assert m.nadir_hz > 60.0  # peak, not dip
         assert m.nadir_hz < m_none.nadir_hz  # droop trims the peak
 

@@ -6,7 +6,8 @@ from gridfreq.engine import SimConfig, run_simulation
 from gridfreq.grid import (Contingency, GovernorFleet, PRESETS,
                            SystemParams, preset_params,
                            steady_state_deviation)
-from gridfreq.scenario import preset_scenario, set_param
+from gridfreq.pv import ControllerSpec, DroopConfig
+from gridfreq.scenario import Scenario, preset_scenario, set_param
 
 
 class TestGovernorRhs:
@@ -39,45 +40,50 @@ class TestGovernorRhs:
             GovernorFleet(t_gov=-1.0)
 
 
+def balance(kind="none", dp=0.02, r=0.05, **system):
+    """A scenario for the steady-state balance, h_sys 3 s."""
+    return Scenario(
+        system=SystemParams(h_sys=3.0, **system),
+        contingency=Contingency(dp=dp),
+        controller=ControllerSpec(kind=kind, droop=DroopConfig(r=r)))
+
+
 class TestSteadyStateDeviation:
     def test_without_pv(self):
-        params = SystemParams(h_sys=3.0, d_load=1.0)
-        dev = steady_state_deviation(params, 0.02)
-        assert dev == pytest.approx(-0.0028571, abs=1e-7)
-        assert dev * 60.0 == pytest.approx(-0.17143, abs=1e-5)
+        for kind in ("none", "inertia"):
+            dev = steady_state_deviation(balance(kind, d_load=1.0))
+            assert dev == pytest.approx(-0.0028571, abs=1e-7)
+            assert dev * 60.0 == pytest.approx(-0.17143, abs=1e-5)
 
     def test_with_pv_droop(self):
-        params = SystemParams(h_sys=3.0, d_load=1.0)
-        dev = steady_state_deviation(params, 0.02, include_pv_droop=True,
-                                     r_droop=0.05)
-        # denominator 0.3/0.05 + 1 + 0.4/0.05 = 15
-        assert dev == pytest.approx(-0.0013333, abs=1e-7)
-        assert dev * 60.0 == pytest.approx(-0.08, abs=1e-5)
+        for kind in ("droop", "combined"):
+            dev = steady_state_deviation(balance(kind, r=0.05, d_load=1.0))
+            # denominator 0.3/0.05 + 1 + 0.4/0.05 = 15
+            assert dev == pytest.approx(-0.0013333, abs=1e-7)
+            assert dev * 60.0 == pytest.approx(-0.08, abs=1e-5)
 
     def test_zero_disturbance(self):
-        params = SystemParams(h_sys=3.0)
-        assert steady_state_deviation(params, 0.0) == 0.0
+        assert steady_state_deviation(balance(dp=0.0)) == 0.0
 
     def test_zero_denominator_rejected(self):
-        params = SystemParams(
-            h_sys=3.0, d_load=0.0,
-            governor=GovernorFleet(kappa=0.0))
+        s = balance(d_load=0.0, governor=GovernorFleet(kappa=0.0))
         with pytest.raises(ValueError, match="no responsive"):
-            steady_state_deviation(params, 0.02)
+            steady_state_deviation(s)
 
     @pytest.mark.parametrize("dp", [math.nan, math.inf, -math.inf])
     def test_non_finite_disturbance_rejected(self, dp):
+        # The contingency rejects it, so no balance is ever formed.
         with pytest.raises(ValueError, match=r"^dp must be finite, got "):
-            steady_state_deviation(SystemParams(h_sys=3.0), dp)
+            steady_state_deviation(balance(dp=dp))
 
     @pytest.mark.parametrize("r_droop", [math.nan, math.inf, -math.inf,
                                          0.0])
     def test_droop_outside_open_interval_rejected(self, r_droop):
-        # r_droop=inf used to drop the PV droop term without a word
-        with pytest.raises(ValueError, match=r"^r_droop must be > 0 and "
-                                             r"finite, got "):
-            steady_state_deviation(SystemParams(h_sys=3.0), 0.02,
-                                   include_pv_droop=True, r_droop=r_droop)
+        # r_droop=inf used to drop the PV droop term without a word; the
+        # droop path's config rejects it before a balance is formed.
+        with pytest.raises(ValueError,
+                           match=r"^r must be (> 0|finite), got "):
+            steady_state_deviation(balance("droop", r=r_droop))
 
 
 class TestPresets:

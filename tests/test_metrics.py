@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from gridfreq.engine import SimConfig, Trace
+from gridfreq.engine import Trace
 from gridfreq.metrics import (NoResponseError, NotSettledError,
                               compare_controllers, compute_frequency_metrics,
-                              compute_step_response_metrics, initial_rocof,
-                              max_abs_rocof_within)
+                              compute_step_response_metrics)
 from gridfreq.pv import CONTROLLER_KINDS
-from gridfreq.scenario import preset_scenario
+from gridfreq.scenario import preset_scenario, set_param
+from trace_probes import initial_rocof, max_abs_rocof_within
 
 
 def make_trace(f_values, sample_interval=0.01, rocof_window=0.1):
@@ -167,20 +167,19 @@ class TestStepResponseMetrics:
 
 class TestCompareControllers:
     def test_fixed_order_and_determinism(self):
-        s = preset_scenario("ei80")
-        sim = SimConfig(t_end=30.0)
-        t1 = compare_controllers(s, sim=sim)
-        t2 = compare_controllers(s, sim=sim)
+        s = set_param(preset_scenario("ei80"), "sim.t_end", 30.0)
+        t1 = compare_controllers(s)
+        t2 = compare_controllers(s)
         assert tuple(t1) == CONTROLLER_KINDS
         assert t1 == t2
 
     def test_droop_improves_nadir(self):
-        s = preset_scenario("ercot80")
-        table = compare_controllers(s, sim=SimConfig(t_end=30.0))
+        s = set_param(preset_scenario("ercot80"), "sim.t_end", 30.0)
+        table = compare_controllers(s)
         assert table["droop"].nadir_hz > table["none"].nadir_hz
 
     def test_combined_delays_nadir(self):
-        s = preset_scenario("ei80")
-        table = compare_controllers(s, sim=SimConfig(t_end=30.0))
+        s = set_param(preset_scenario("ei80"), "sim.t_end", 30.0)
+        table = compare_controllers(s)
         assert (table["combined"].nadir_time_s
                 > table["droop"].nadir_time_s)

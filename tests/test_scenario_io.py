@@ -227,8 +227,8 @@ class TestTraceCsv:
 
 class TestMetricsCsv:
     def test_header_and_order(self):
-        s = preset_scenario("ei80")
-        table = compare_controllers(s, sim=SimConfig(t_end=20.0))
+        s = set_param(preset_scenario("ei80"), "sim.t_end", 20.0)
+        table = compare_controllers(s)
         sink = io.StringIO()
         write_metrics_csv([(s.name, k, m) for k, m in table.items()], sink)
         lines = sink.getvalue().splitlines()

@@ -22,12 +22,13 @@ def main() -> None:
 
     print("open-loop step-response test (default thresholds):")
     response = run_step_test(scenario.controller, scenario.system.pv,
-                             ComplianceThresholds())
+                             ComplianceThresholds(), sim=scenario.sim)
     report = evaluate_compliance(response)
     print(format_report(report))
 
     trace = run_simulation(set_param(scenario, "sim.t_end", 30.0))
-    metrics = compute_frequency_metrics(trace, scenario.contingency.t_event)
+    metrics = compute_frequency_metrics(trace, scenario.contingency.t_event,
+                                        f0=scenario.system.f0)
     print(f"\nclosed-loop ercot80 contingency: nadir "
           f"{metrics.nadir_hz:.4f} Hz vs {TARGET_NADIR} Hz floor -> "
           f"{'ok' if metrics.nadir_hz >= TARGET_NADIR else 'SHORTFALL'}")

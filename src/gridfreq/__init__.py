@@ -8,20 +8,17 @@ grading, headroom sizing, scenario configs, and CSV/CLI interfaces.
 """
 
 from .compliance import (ComplianceReport, ComplianceThresholds,
-                         StepResponse, evaluate_compliance, format_report,
-                         run_step_test)
-from .csvio import (METRICS_HEADER, TRACE_HEADER, read_metrics_csv,
-                    read_trace_csv, write_metrics_csv, write_trace_csv)
+                         StepResponse, StepResponseMetrics,
+                         evaluate_compliance, format_report, run_step_test)
+from .csvio import (read_metrics_csv, read_trace_csv, write_metrics_csv,
+                    write_trace_csv)
 from .engine import SimConfig, Trace, run_simulation
-from .grid import (Contingency, GovernorFleet, PRESETS, SystemParams,
-                   preset_params, steady_state_deviation)
+from .grid import (Contingency, GovernorFleet, SystemParams,
+                   steady_state_deviation)
 from .headroom import (HeadroomQuery, HeadroomResult, NonMonotoneError,
-                       UnattainableError, min_headroom_for_nadir,
-                       sweep_param)
-from .metrics import (FrequencyMetrics, NoResponseError, NotSettledError,
-                      StepResponseMetrics, compare_controllers,
-                      compute_frequency_metrics,
-                      compute_step_response_metrics)
+                       UnattainableError, compare_controllers,
+                       min_headroom_for_nadir, sweep_param)
+from .metrics import FrequencyMetrics, compute_frequency_metrics
 from .pv import (CONTROLLER_KINDS, ControllerSpec, DroopConfig,
                  InertiaConfig, PVPlantConfig)
 from .scenario import (Scenario, ScenarioError, parse_scenario,
@@ -34,16 +31,13 @@ __all__ = [
     "CONTROLLER_KINDS", "ComplianceReport", "ComplianceThresholds",
     "Contingency", "ControllerSpec", "DroopConfig", "FrequencyMetrics",
     "GovernorFleet", "HeadroomQuery", "HeadroomResult", "InertiaConfig",
-    "METRICS_HEADER", "NoResponseError", "NonMonotoneError",
-    "NotSettledError", "PRESETS", "PVPlantConfig", "Scenario",
-    "ScenarioError", "SimConfig", "StepResponse", "StepResponseMetrics",
-    "SystemParams", "TRACE_HEADER", "Trace", "UnattainableError",
-    "compare_controllers", "compute_frequency_metrics",
-    "compute_step_response_metrics", "evaluate_compliance",
-    "format_report", "min_headroom_for_nadir", "parse_scenario",
-    "preset_params", "preset_scenario", "read_metrics_csv",
-    "read_trace_csv", "run_simulation", "run_step_test",
-    "scenario_from_dict", "serialize_scenario", "set_param",
-    "steady_state_deviation", "sweep_param", "valid_param_paths",
-    "write_metrics_csv", "write_trace_csv",
+    "NonMonotoneError", "PVPlantConfig", "Scenario", "ScenarioError",
+    "SimConfig", "StepResponse", "StepResponseMetrics", "SystemParams",
+    "Trace", "UnattainableError", "compare_controllers",
+    "compute_frequency_metrics", "evaluate_compliance", "format_report",
+    "min_headroom_for_nadir", "parse_scenario", "preset_scenario",
+    "read_metrics_csv", "read_trace_csv", "run_simulation",
+    "run_step_test", "scenario_from_dict", "serialize_scenario",
+    "set_param", "steady_state_deviation", "sweep_param",
+    "valid_param_paths", "write_metrics_csv", "write_trace_csv",
 ]

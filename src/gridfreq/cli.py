@@ -26,8 +26,9 @@ from .compliance import (ComplianceThresholds, evaluate_compliance,
 from .csvio import write_metrics_csv, write_trace_csv
 from .engine import run_simulation
 from .headroom import (HeadroomQuery, NonMonotoneError, UnattainableError,
-                       min_headroom_for_nadir, sweep_param)
-from .metrics import compare_controllers, compute_frequency_metrics
+                       compare_controllers, min_headroom_for_nadir,
+                       sweep_param)
+from .metrics import compute_frequency_metrics
 from .pv import CONTROLLER_KINDS
 from .scenario import (Scenario, ScenarioError, _with_kind, parse_scenario,
                        parse_set_value, preset_scenario, set_param)

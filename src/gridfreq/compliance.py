@@ -2,22 +2,27 @@
 
 The controller is driven by a prescribed frequency step (default 0.002 pu,
 0.12 Hz on a 60 Hz base) with no grid feedback, and the plant output is
-graded against reaction/rise/settling/overshoot thresholds. The default
-threshold values are configurable stand-ins in the style of North American
-interconnection performance guidance, not normative figures.
+graded against reaction/rise/settling/overshoot thresholds. The grading
+interpolates threshold crossings between samples so the values do not
+snap to the sample grid. The default threshold values are configurable
+stand-ins in the style of North American interconnection performance
+guidance, not normative figures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from .engine import SimConfig
-from .metrics import (NoResponseError, NotSettledError, StepResponseMetrics,
-                      compute_step_response_metrics)
 from .pv import (ControllerSpec, Positive, PVPlantConfig, check_fields,
                  make_controller, validate_responsive_kind)
+
+REACTION_FRACTION = 0.02
+RISE_FRACTIONS = (0.1, 0.9)
+SETTLE_CHECK_FRACTION = 0.1
+SETTLE_CHECK_LIMIT = 0.005
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,15 @@ class StepResponse:
     y: list[float]
     step_time: float
     step_magnitude: float
+
+
+@dataclass(frozen=True)
+class StepResponseMetrics:
+    reaction_time_s: float
+    rise_time_s: float
+    settling_time_s: float
+    overshoot: float
+    final_value: float
 
 
 @dataclass(frozen=True)
@@ -72,11 +86,12 @@ class ComplianceReport:
 
 def run_step_test(controller_spec: ControllerSpec,
                   plant_cfg: PVPlantConfig,
-                  thresholds: ComplianceThresholds | None = None,
-                  sim: SimConfig | None = None,
+                  thresholds: ComplianceThresholds | None = None, *,
+                  sim: SimConfig,
                   step_time: float = 1.0) -> StepResponse:
     """Drive the controller with an underfrequency step and record the
-    plant output (plant pu, before system-base scaling) over the horizon.
+    plant output (plant pu, before system-base scaling) over the horizon
+    of ``sim``, whose step size and ``t_end`` it uses.
 
     The controller holds 0.0 up to the step and -step_magnitude after it;
     one zero-order-hold loop then clamps each command into [down_limit,
@@ -90,9 +105,8 @@ def run_step_test(controller_spec: ControllerSpec,
     """
     validate_responsive_kind(controller_spec.kind)
     thr = thresholds or ComplianceThresholds()
-    cfg = sim or SimConfig(t_end=20.0)
-    dt = cfg.dt
-    n_steps, stride, k_step = cfg.step_grid(step_time, "step_time")
+    dt = sim.dt
+    n_steps, stride, k_step = sim.step_grid(step_time, "step_time")
     hold = make_controller(controller_spec, dt)
     lo = plant_cfg.down_limit
     hi = plant_cfg.up_limit
@@ -138,14 +152,12 @@ def evaluate_compliance(response: StepResponse,
     """
     thr = thresholds or ComplianceThresholds()
     try:
-        metrics = compute_step_response_metrics(
-            response.t, response.y, response.step_time,
-            settling_band=thr.settling_band)
-    except (NoResponseError, NotSettledError) as exc:
-        reason = ("no_response" if isinstance(exc, NoResponseError)
-                  else "not_settled")
+        metrics = _step_response_metrics(
+            response.t, response.y, response.step_time, thr.settling_band)
+    except _Ungradable as exc:
         return ComplianceReport(metrics=None, criteria={}, passed=False,
-                                failure_reason=reason, config=config or {})
+                                failure_reason=str(exc),
+                                config=config or {})
 
     criteria = {
         "reaction_time": CriterionResult(
@@ -167,6 +179,95 @@ def evaluate_compliance(response: StepResponse,
                             failure_reason=None if passed else
                             "threshold_exceeded",
                             config=config or {})
+
+
+class _Ungradable(Exception):
+    """The response cannot be graded; the message ("no_response" or
+    "not_settled") is the report's ``failure_reason``."""
+
+
+def _step_response_metrics(t: Sequence[float], y: Sequence[float],
+                           step_time: float,
+                           settling_band: float) -> StepResponseMetrics:
+    """Grade a sampled step response.
+
+    The final value is the mean of the last tenth of the horizon, which
+    must vary by less than 0.5% of the total change (otherwise
+    "not_settled"); a change below 1e-6 is "no_response". All times are
+    relative to ``step_time`` and threshold crossings are linearly
+    interpolated.
+    """
+    if len(t) != len(y) or len(t) < 3:
+        raise ValueError("response must have matching t/y of length >= 3")
+    n_tail = max(1, int(len(t) * SETTLE_CHECK_FRACTION))
+    tail = y[-n_tail:]
+    final = sum(tail) / len(tail)
+    baseline = _baseline(t, y, step_time)
+    change = final - baseline
+    if abs(change) < 1e-6:
+        raise _Ungradable("no_response")
+    if (max(tail) - min(tail)) >= SETTLE_CHECK_LIMIT * abs(change):
+        raise _Ungradable("not_settled")
+
+    sign = 1.0 if change > 0.0 else -1.0
+    # Normalized progress toward the final value, 0 at baseline, 1 at final.
+    prog = [sign * (yi - baseline) / abs(change) for yi in y]
+
+    reaction = _first_crossing(t, prog, REACTION_FRACTION) - step_time
+    t_lo = _first_crossing(t, prog, RISE_FRACTIONS[0])
+    t_hi = _first_crossing(t, prog, RISE_FRACTIONS[1])
+    rise = t_hi - t_lo
+    settling = _settling_time(t, prog, settling_band) - step_time
+    overshoot = max(0.0, max(prog) - 1.0)
+    if overshoot < 1e-9:  # below final-value estimation noise
+        overshoot = 0.0
+    return StepResponseMetrics(
+        reaction_time_s=reaction,
+        rise_time_s=rise,
+        settling_time_s=settling,
+        overshoot=overshoot,
+        final_value=final,
+    )
+
+
+def _baseline(t: Sequence[float], y: Sequence[float],
+              step_time: float) -> float:
+    pre = [yi for ti, yi in zip(t, y) if ti < step_time - 1e-12]
+    if not pre:
+        return y[0]
+    return sum(pre) / len(pre)
+
+
+def _first_crossing(t: Sequence[float], prog: Sequence[float],
+                    level: float) -> float:
+    """Time of the first crossing of ``level``, linearly interpolated."""
+    if prog[0] >= level:
+        return t[0]
+    for i in range(1, len(prog)):
+        if prog[i] >= level:
+            frac = (level - prog[i - 1]) / (prog[i] - prog[i - 1])
+            return t[i - 1] + frac * (t[i] - t[i - 1])
+    raise _Ungradable("not_settled")
+
+
+def _settling_time(t: Sequence[float], prog: Sequence[float],
+                   band: float) -> float:
+    """Time of the last entry into the +/-band around the final value.
+
+    A response still outside the band at its last sample is "not_settled";
+    the tail check does not rule that out when the band is below 0.5%."""
+    outside = None
+    for i, pi in enumerate(prog):
+        if abs(pi - 1.0) > band:
+            outside = i
+    if outside is None:
+        return t[0]
+    if outside + 1 >= len(prog):
+        raise _Ungradable("not_settled")
+    p0 = abs(prog[outside] - 1.0)
+    p1 = abs(prog[outside + 1] - 1.0)
+    frac = (p0 - band) / (p0 - p1) if p0 != p1 else 1.0
+    return t[outside] + frac * (t[outside + 1] - t[outside])
 
 
 def format_report(report: ComplianceReport) -> str:

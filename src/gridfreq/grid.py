@@ -5,7 +5,8 @@ partially responsive governor fleet modelled as a single first-order path,
 and one equivalent PV plant. Deviations are per-unit on the system base;
 frequency deviation is per-unit on the nominal frequency. Each number
 field's annotation declares its constraint, and ``pv.check_fields``
-rejects a value that breaks it or is not finite, naming the field.
+rejects a value that breaks it or is not finite, naming the field. The
+named presets that fill these classes are ``scenario.preset_scenario``'s.
 """
 
 from __future__ import annotations
@@ -80,27 +81,3 @@ def steady_state_deviation(scenario: "Scenario") -> float:
         )
     return -scenario.contingency.dp / denom
 
-
-# Desk-scale stand-ins for high-renewable interconnection equivalents.
-# ei80 is a large high-inertia grid with a relatively shallow worst event;
-# ercot80 a small low-inertia grid with a deep one that needs more PV
-# reserve. The numbers are synthetic calibration targets, not measurements
-# of any real system.
-PRESETS: dict[str, dict[str, float]] = {
-    "ei80": {"h_sys": 2.0, "d_load": 1.0, "dp": 0.009, "headroom": 0.05},
-    "ercot80": {"h_sys": 1.5, "d_load": 1.0, "dp": 0.04, "headroom": 0.1},
-}
-
-
-def preset_params(name: str) -> tuple[SystemParams, Contingency]:
-    """System parameters and design contingency for a named preset."""
-    if name not in PRESETS:
-        raise ValueError(
-            f"unknown preset {name!r}; valid presets: "
-            f"{', '.join(sorted(PRESETS))}"
-        )
-    entry = PRESETS[name]
-    system = SystemParams(h_sys=entry["h_sys"], d_load=entry["d_load"],
-                          pv=PVPlantConfig(headroom=entry["headroom"]))
-    contingency = Contingency(dp=entry["dp"], t_event=1.0)
-    return system, contingency

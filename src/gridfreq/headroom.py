@@ -1,11 +1,13 @@
-"""Headroom sizing and single-parameter sweeps.
+"""Headroom sizing, single-parameter sweeps and the controller comparison.
 
-The sizer finds the smallest PV headroom fraction whose simulated nadir
-stays at or above a target (for example an under-frequency load-shedding
-threshold) by bisection. Monotonicity of nadir in headroom is probed at
-three points first rather than assumed, because limiters and recovery
-clamps could in principle bend the response; a failed probe is surfaced as
-an error instead of silently bisecting a non-monotone curve.
+Each entry point runs variants of one scenario: the sizer varies the PV
+headroom, a sweep one numeric field, and the comparison the controller
+kind. The sizer finds the smallest PV headroom fraction whose simulated
+nadir stays at or above a target (for example an under-frequency
+load-shedding threshold) by bisection. Monotonicity of nadir in headroom
+is probed at three points first rather than assumed, because limiters and
+recovery clamps could in principle bend the response; a failed probe is
+surfaced as an error instead of silently bisecting a non-monotone curve.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Callable
 from .engine import run_simulation
 from .metrics import (FrequencyMetrics, _first_index_at_or_after,
                       compute_frequency_metrics)
-from .pv import (FractionBelowOne, Positive, check_fields,
-                 validate_responsive_kind)
+from .pv import (CONTROLLER_KINDS, FractionBelowOne, Positive,
+                 check_fields, validate_responsive_kind)
 from .scenario import Scenario, _with_kind, set_param, valid_param_paths
 
 
@@ -130,21 +132,16 @@ def min_headroom_for_nadir(query: HeadroomQuery) -> HeadroomResult:
 
 def bisect_min_headroom(nadir: Callable[[float], float], target: float,
                         h_max: float, tolerance: float,
-                        meets: Callable[[float], bool] | None = None,
-                        ) -> float:
+                        meets: Callable[[float], bool]) -> float:
     """Bisection core over a memo-friendly nadir function.
 
     Probes {h_max, h_max/2, 0} for monotonicity, then bisects the bracket
     [largest h below target, smallest h at/above target]. ``meets(h)``
-    answers only whether the nadir at ``h`` reaches the target (default:
-    ``nadir(h) >= target``); it serves the bisection midpoints and, once
-    h_max/2 meets the target, the h = 0 probe, where any failing nadir is
-    below h_max/2's and so cannot break monotonicity.
+    answers only whether the nadir at ``h`` reaches the target, as
+    ``nadir(h) >= target`` would; it serves the bisection midpoints and,
+    once h_max/2 meets the target, the h = 0 probe, where any failing nadir
+    is below h_max/2's and so cannot break monotonicity.
     """
-    if meets is None:
-        def meets(h: float) -> bool:
-            return nadir(h) >= target
-
     top = nadir(h_max)
     middle = nadir(h_max / 2.0)
     bottom: float | None = None
@@ -195,3 +192,19 @@ def sweep_param(scenario: Scenario, param_path: str, values: list[float]
         rows.append((v, compute_frequency_metrics(
             trace, s.contingency.t_event, f0=s.system.f0)))
     return rows
+
+
+def compare_controllers(scenario: Scenario) -> dict[str, FrequencyMetrics]:
+    """Run the scenario under every controller kind and tabulate metrics.
+
+    Each run keeps the scenario's gains and settings and changes only its
+    controller kind. Returns one row per kind in the fixed order none,
+    droop, inertia, combined; repeated invocations produce identical
+    tables.
+    """
+    table: dict[str, FrequencyMetrics] = {}
+    for kind in CONTROLLER_KINDS:
+        trace = run_simulation(_with_kind(scenario, kind))
+        table[kind] = compute_frequency_metrics(
+            trace, scenario.contingency.t_event, f0=scenario.system.f0)
+    return table

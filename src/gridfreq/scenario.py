@@ -9,6 +9,8 @@ annotations say. Every key is optional when a ``preset`` supplies the base
 values; unknown keys are rejected so typos fail loudly. Numeric fields can
 also be addressed with dotted paths (``system.h_sys``,
 ``controller.droop.r``) for command-line overrides and parameter sweeps.
+The named presets (``ei80``, ``ercot80``) are defined here, and
+``preset_scenario`` is the one function that builds them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Any
 
 from .engine import SimConfig
 from .grid import Contingency, SystemParams
-from .pv import ControllerSpec
+from .pv import ControllerSpec, PVPlantConfig
 
 
 class ScenarioError(ValueError):
@@ -40,15 +42,29 @@ class Scenario:
     name: str = "scenario"
 
 
+# Desk-scale stand-ins for high-renewable interconnection equivalents.
+# ei80 is a large high-inertia grid with a relatively shallow worst event;
+# ercot80 a small low-inertia grid with a deep one that needs more PV
+# reserve. The numbers are synthetic calibration targets, not measurements
+# of any real system.
+_PRESETS: dict[str, dict[str, float]] = {
+    "ei80": {"h_sys": 2.0, "d_load": 1.0, "dp": 0.009, "headroom": 0.05},
+    "ercot80": {"h_sys": 1.5, "d_load": 1.0, "dp": 0.04, "headroom": 0.1},
+}
+
+
 def preset_scenario(name: str, controller: str = "none") -> Scenario:
     """Build a full scenario from a named preset."""
-    from .grid import preset_params
-
-    try:
-        system, contingency = preset_params(name)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
-    return Scenario(system=system, contingency=contingency,
+    if name not in _PRESETS:
+        raise ScenarioError(
+            f"unknown preset {name!r}; valid presets: "
+            f"{', '.join(sorted(_PRESETS))}"
+        )
+    entry = _PRESETS[name]
+    system = SystemParams(h_sys=entry["h_sys"], d_load=entry["d_load"],
+                          pv=PVPlantConfig(headroom=entry["headroom"]))
+    return Scenario(system=system,
+                    contingency=Contingency(dp=entry["dp"], t_event=1.0),
                     controller=ControllerSpec(kind=controller), name=name)
 
 

@@ -8,12 +8,12 @@ import time
 
 import pytest
 
+from gridfreq.compliance import StepResponse, evaluate_compliance
 from gridfreq.csvio import write_trace_csv
 from gridfreq.engine import SimConfig, run_simulation
-from gridfreq.headroom import HeadroomQuery, min_headroom_for_nadir
-from gridfreq.metrics import (compare_controllers,
-                              compute_frequency_metrics,
-                              compute_step_response_metrics)
+from gridfreq.headroom import (HeadroomQuery, compare_controllers,
+                               min_headroom_for_nadir)
+from gridfreq.metrics import compute_frequency_metrics
 from gridfreq.scenario import (preset_scenario, scenario_from_dict,
                                set_param)
 from trace_probes import initial_rocof, max_abs_rocof_within
@@ -120,7 +120,7 @@ def test_c5_settling_matches_analytic_steady_state():
         })
         assert analytic == pytest.approx(frozen, abs=1e-7)
         trace = run_simulation(s)
-        m = compute_frequency_metrics(trace, T_EVENT)
+        m = compute_frequency_metrics(trace, T_EVENT, f0=60.0)
         dev = m.settling_freq_hz / 60.0 - 1.0
         err = abs(dev - analytic)
         ok = ok and err <= 2e-4
@@ -170,7 +170,7 @@ def test_c8_step_metric_oracles():
     si = 0.01
     t = [i * si for i in range(3001)]
     y = [1.0 - math.exp(-ti) for ti in t]
-    m = compute_step_response_metrics(t, y, step_time=0.0)
+    m = evaluate_compliance(StepResponse(t, y, 0.0, 0.002)).metrics
     tol = 2 * si
     checks = [
         ("reaction", m.reaction_time_s, 0.0202),
@@ -186,7 +186,7 @@ def test_c8_step_metric_oracles():
     y2 = [1 - math.exp(-z * ti) * (math.cos(wd * ti)
                                    + z / wd * math.sin(wd * ti))
           for ti in t2]
-    m2 = compute_step_response_metrics(t2, y2, step_time=0.0)
+    m2 = evaluate_compliance(StepResponse(t2, y2, 0.0, 0.002)).metrics
     ok = ok and abs(m2.overshoot - 0.1630) <= 0.005
     detail = ", ".join(f"{name} {got:.4f} vs {want}"
                        for name, got, want in checks)
@@ -210,7 +210,8 @@ def test_c9_headroom_bisection_matches_sweep():
     def nadir(h):
         s = set_param(scenario, "system.pv.headroom", h)
         trace = run_simulation(s)
-        return compute_frequency_metrics(trace, T_EVENT).nadir_hz
+        return compute_frequency_metrics(trace, T_EVENT,
+                                         f0=60.0).nadir_hz
 
     # independent oracle: exhaustive 0.0005-step sweep from zero upward
     h_sweep = 0.0
@@ -268,11 +269,11 @@ def test_c11_headroom_necessity():
         trace = run_simulation(s0)
         max_pv = max(max_pv, max(trace.dp_pv_pu))
         nadirs[0.0, kind] = compute_frequency_metrics(
-            trace, T_EVENT).nadir_hz
+            trace, T_EVENT, f0=60.0).nadir_hz
     s5 = set_param(preset_scenario("ercot80", "combined"),
                    "system.pv.headroom", 0.05)
     trace5 = run_simulation(s5)
-    nadir5 = compute_frequency_metrics(trace5, T_EVENT).nadir_hz
+    nadir5 = compute_frequency_metrics(trace5, T_EVENT, f0=60.0).nadir_hz
     ok = max_pv <= 0.0 and nadir5 > nadirs[0.0, "combined"]
     check("C11 headroom necessity", ok,
           f"h=0: max dp_pv {max_pv:.2e} (<=0); nadir(h=0.05) "

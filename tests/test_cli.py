@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +216,31 @@ class TestSweep:
         assert run_cli("sweep", "--preset", "ei80", "--param", "nope",
                        "--values", "1.0", "--out",
                        str(tmp_path / "s.csv")) == 1
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_commands():
+    """The ``gridfreq`` lines of README's command-line block, with their
+    backslash continuations joined."""
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", README,
+                      re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("gridfreq ")]
+
+
+class TestReadmeCommands:
+    def test_every_command_runs_as_written(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.chdir(tmp_path)
+        quoted = re.search(r"example above\s+prints `(minimum headroom "
+                           r"[^`]*)`", README).group(1)
+        printed = {}
+        for argv in _readme_commands():
+            assert run_cli(*argv) == 0, argv
+            printed[argv[0]] = capsys.readouterr().out
+        assert sorted(printed) == ["compare", "compliance", "headroom",
+                                   "simulate", "sweep"]
+        assert quoted in printed["headroom"]

@@ -13,6 +13,10 @@ from gridfreq.pv import (ControllerSpec, DroopConfig, InertiaConfig,
                          PVPlantConfig)
 from zoh_reference import reference_step_test
 
+# The horizon of the step tests that take no other: 20 s settles every
+# default droop response.
+SIM = SimConfig(t_end=20.0)
+
 
 def droop_spec(r=0.05, deadband=0.0, t_lag=0.2):
     return ControllerSpec(kind="droop",
@@ -29,13 +33,15 @@ def synthetic_first_order(T, horizon=30.0, si=0.01, step_time=0.0):
 
 class TestRunStepTest:
     def test_droop_final_value(self):
-        resp = run_step_test(droop_spec(), PVPlantConfig(headroom=0.1))
+        resp = run_step_test(droop_spec(), PVPlantConfig(headroom=0.1),
+                             sim=SIM)
         # -0.002 pu step, 5% droop: 0.002/0.05 = 0.04 plant pu
         assert resp.y[-1] == pytest.approx(0.04, abs=1e-9)
         assert max(resp.y) <= 0.04 + 1e-9  # first-order cascade: no overshoot
 
     def test_droop_report_passes_defaults(self):
-        resp = run_step_test(droop_spec(), PVPlantConfig(headroom=0.1))
+        resp = run_step_test(droop_spec(), PVPlantConfig(headroom=0.1),
+                             sim=SIM)
         report = evaluate_compliance(resp)
         assert report.passed
         assert set(report.criteria) == {"reaction_time", "rise_time",
@@ -43,27 +49,33 @@ class TestRunStepTest:
 
     def test_pure_inertia_has_no_sustained_response(self):
         spec = ControllerSpec(kind="inertia", inertia=InertiaConfig(k=10.0))
-        resp = run_step_test(spec, PVPlantConfig(headroom=0.1))
+        resp = run_step_test(spec, PVPlantConfig(headroom=0.1), sim=SIM)
         report = evaluate_compliance(resp)
         assert not report.passed
         assert report.failure_reason == "no_response"
 
     def test_step_inside_deadband_gives_zero_response(self):
         spec = droop_spec(deadband=0.003)  # wider than the 0.002 step
-        resp = run_step_test(spec, PVPlantConfig(headroom=0.1))
+        resp = run_step_test(spec, PVPlantConfig(headroom=0.1), sim=SIM)
         assert all(y == 0.0 for y in resp.y)
         report = evaluate_compliance(resp)
         assert not report.passed
         assert report.failure_reason == "no_response"
 
+    def test_horizon_comes_only_from_sim(self):
+        # No second default horizon: the caller passes the scenario's sim.
+        with pytest.raises(TypeError, match="sim"):
+            run_step_test(droop_spec(), PVPlantConfig(headroom=0.1))
+
     def test_none_controller_rejected(self):
         with pytest.raises(ValueError, match="none"):
             run_step_test(ControllerSpec(kind="none"),
-                          PVPlantConfig(headroom=0.1))
+                          PVPlantConfig(headroom=0.1), sim=SIM)
 
     def test_headroom_clamp_caps_response(self):
         # demand 0.04 exceeds 0.03 headroom: response saturates there
-        resp = run_step_test(droop_spec(), PVPlantConfig(headroom=0.03))
+        resp = run_step_test(droop_spec(), PVPlantConfig(headroom=0.03),
+                             sim=SIM)
         assert resp.y[-1] == pytest.approx(0.03, abs=1e-9)
 
 
@@ -91,7 +103,7 @@ class TestRunStepTest:
         with pytest.raises(ValueError, match="^step_time must be finite "
                                              "and >= 0"):
             run_step_test(droop_spec(), PVPlantConfig(headroom=0.1),
-                          step_time=step_time)
+                          sim=SIM, step_time=step_time)
 
     def test_step_after_last_sample_rejected(self):
         # 2.01 is before t_end but after the last whole sample, t = 2.0.
@@ -181,8 +193,10 @@ class TestOracleDifferential:
               1.0))
     def test_equals_reference(self, case):
         spec, plant, thresholds, sim, step_time = case
-        got = run_step_test(spec, plant, thresholds, sim, step_time)
-        want = reference_step_test(spec, plant, thresholds, sim, step_time)
+        got = run_step_test(spec, plant, thresholds, sim=sim,
+                            step_time=step_time)
+        want = reference_step_test(spec, plant, thresholds, sim=sim,
+                                   step_time=step_time)
         assert got.t == want.t
         assert got.y == want.y
         assert (got.step_time, got.step_magnitude) == (
@@ -222,6 +236,18 @@ class TestEvaluateCompliance:
         assert report.failure_reason == "not_settled"
         assert report.criteria == {}
         assert "metrics" not in report.as_dict()
+
+    def test_ending_outside_a_band_below_the_tail_check_is_not_settled(
+            self):
+        # The last tenth varies by 0.2% of the change, inside the 0.5%
+        # tail check, so the default band grades it; the last sample is
+        # 0.09% past the final value, outside a 0.05% band.
+        resp = synthetic_first_order(5.0, horizon=30.0)
+        assert evaluate_compliance(resp).metrics is not None
+        report = evaluate_compliance(
+            resp, ComplianceThresholds(settling_band=0.0005))
+        assert report.failure_reason == "not_settled"
+        assert report.metrics is None
 
     def test_loosening_thresholds_never_flips_pass_to_fail(self):
         resp = synthetic_first_order(2.0)

@@ -154,7 +154,7 @@ class TestRunSimulation:
         m = {}
         for name in ("ei80", "ercot80"):
             trace = run_simulation(preset_scenario(name), sim=sim)
-            m[name] = compute_frequency_metrics(trace, 1.0)
+            m[name] = compute_frequency_metrics(trace, 1.0, f0=60.0)
         assert m["ercot80"].nadir_hz < m["ei80"].nadir_hz
         assert (m["ercot80"].max_abs_rocof_hz_per_s
                 > m["ei80"].max_abs_rocof_hz_per_s)
@@ -170,8 +170,8 @@ class TestRunSimulation:
                 s = set_param(set_param(base, "system.h_sys", h),
                               "contingency.dp", dp)
                 trace = run_simulation(s, sim=sim)
-                nadir[h, dp] = compute_frequency_metrics(trace,
-                                                         1.0).nadir_hz
+                nadir[h, dp] = compute_frequency_metrics(
+                    trace, 1.0, f0=60.0).nadir_hz
         for dp in dps:
             for lo, hi in zip(hs, hs[1:]):
                 assert nadir[hi, dp] >= nadir[lo, dp] - 1e-9
@@ -211,10 +211,10 @@ class TestRunSimulation:
         assert max(trace.dp_gov_pu) <= 0.0
         assert min(trace.dp_pv_pu) >= -s.system.pv.c_pv \
             * s.system.pv.operating_point - 1e-9
-        m = compute_frequency_metrics(trace, 1.0)
+        m = compute_frequency_metrics(trace, 1.0, f0=60.0)
         m_none = compute_frequency_metrics(run_simulation(
             scenario_from_dict({**doc, "controller": {"kind": "none"}})),
-            1.0)
+            1.0, f0=60.0)
         assert m.nadir_hz > 60.0  # peak, not dip
         assert m.nadir_hz < m_none.nadir_hz  # droop trims the peak
 

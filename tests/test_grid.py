@@ -3,11 +3,11 @@ import math
 import pytest
 
 from gridfreq.engine import SimConfig, run_simulation
-from gridfreq.grid import (Contingency, GovernorFleet, PRESETS,
-                           SystemParams, preset_params,
+from gridfreq.grid import (Contingency, GovernorFleet, SystemParams,
                            steady_state_deviation)
 from gridfreq.pv import ControllerSpec, DroopConfig
-from gridfreq.scenario import Scenario, preset_scenario, set_param
+from gridfreq.scenario import (Scenario, ScenarioError, preset_scenario,
+                               set_param)
 
 
 class TestGovernorRhs:
@@ -88,29 +88,34 @@ class TestSteadyStateDeviation:
 
 class TestPresets:
     def test_ei80_values(self):
-        system, contingency = preset_params("ei80")
-        assert system.h_sys == 2.0
-        assert system.d_load == 1.0
-        assert contingency.dp == 0.009
+        s = preset_scenario("ei80")
+        assert s.system.h_sys == 2.0
+        assert s.system.d_load == 1.0
+        assert s.contingency.dp == 0.009
 
     def test_ercot80_values(self):
-        system, contingency = preset_params("ercot80")
-        assert system.h_sys == 1.5
-        assert contingency.dp == 0.04
+        s = preset_scenario("ercot80")
+        assert s.system.h_sys == 1.5
+        assert s.contingency.dp == 0.04
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(ValueError, match="unknown preset"):
-            preset_params("wecc")
+        with pytest.raises(ScenarioError, match="unknown preset"):
+            preset_scenario("wecc")
 
     def test_error_lists_valid_presets(self):
-        with pytest.raises(ValueError, match="ei80"):
-            preset_params("wecc")
+        with pytest.raises(ScenarioError,
+                           match="valid presets: ei80, ercot80$"):
+            preset_scenario("wecc")
 
     def test_preset_table_complete(self):
-        for name in PRESETS:
-            system, contingency = preset_params(name)
-            assert system.h_sys > 0
-            assert contingency.dp > 0
+        # Every preset the error names builds a valid scenario.
+        with pytest.raises(ScenarioError) as info:
+            preset_scenario("wecc")
+        names = str(info.value).split("valid presets: ")[1].split(", ")
+        for name in names:
+            s = preset_scenario(name)
+            assert s.system.h_sys > 0
+            assert s.contingency.dp > 0
 
 
 class TestParamValidation:

@@ -19,15 +19,20 @@ def preset(name, kind="none"):
     return set_param(preset_scenario(name, kind), "sim.t_end", 30.0)
 
 
+def bisect(nadir, target):
+    """The bisection core over [0, 0.5] to 0.001, reading the pass bit
+    from ``nadir`` itself."""
+    return bisect_min_headroom(nadir, target, h_max=0.5, tolerance=0.001,
+                               meets=lambda h: nadir(h) >= target)
+
+
 class TestBisectionCore:
     def test_target_met_at_zero(self):
-        assert bisect_min_headroom(lambda h: 59.9, target=59.5,
-                                   h_max=0.5, tolerance=0.001) == 0.0
+        assert bisect(lambda h: 59.9, target=59.5) == 0.0
 
     def test_unattainable(self):
         with pytest.raises(UnattainableError):
-            bisect_min_headroom(lambda h: 59.0 + 0.2 * h, target=59.5,
-                                h_max=0.5, tolerance=0.001)
+            bisect(lambda h: 59.0 + 0.2 * h, target=59.5)
 
     def test_non_monotone_probe_fails(self):
         def bumpy(h):
@@ -35,8 +40,7 @@ class TestBisectionCore:
 
         # decreasing between h=0.25 and h=0.5 at the probe points
         with pytest.raises(NonMonotoneError):
-            bisect_min_headroom(lambda h: 59.4 - h + 4 * h * (0.5 - h),
-                                target=59.5, h_max=0.5, tolerance=0.001)
+            bisect(lambda h: 59.4 - h + 4 * h * (0.5 - h), target=59.5)
         assert bumpy(0.5) > bumpy(0.25) > bumpy(0.0)  # sanity: bumpy is fine
 
     def test_result_brackets_target(self):
@@ -47,7 +51,7 @@ class TestBisectionCore:
             return 59.0 + 1.2 * h
 
         target = 59.5  # exact crossing at h = 0.41666...
-        h = bisect_min_headroom(nadir, target, h_max=0.5, tolerance=0.001)
+        h = bisect(nadir, target)
         assert nadir(h) >= target
         assert nadir(h - 0.002) < target
         assert abs(h - 0.5 / 1.2) <= 0.001
@@ -59,7 +63,7 @@ class TestBisectionCore:
             calls.append(h)
             return 59.0 + 1.2 * h
 
-        bisect_min_headroom(nadir, 59.5, h_max=0.5, tolerance=0.001)
+        bisect(nadir, 59.5)
         # 3-point probe plus at most ceil(log2(h_max / tolerance)) splits
         assert len(calls) <= 3 + math.ceil(math.log2(0.5 / 0.001))
 
@@ -108,7 +112,7 @@ class TestMinHeadroomForNadir:
         def nadir(h):
             s = set_param(scenario, "system.pv.headroom", h)
             trace = run_simulation(s)
-            return compute_frequency_metrics(trace, 1.0).nadir_hz
+            return compute_frequency_metrics(trace, 1.0, f0=60.0).nadir_hz
 
         assert nadir(result.headroom) >= 59.5
         assert nadir(max(result.headroom - 2 * query.tolerance, 0.0)) < 59.5

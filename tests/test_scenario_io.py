@@ -11,7 +11,8 @@ from gridfreq.csvio import (METRICS_HEADER, TRACE_HEADER, read_metrics_csv,
                             read_trace_csv, write_metrics_csv,
                             write_trace_csv)
 from gridfreq.engine import SimConfig, Trace, run_simulation
-from gridfreq.metrics import FrequencyMetrics, compare_controllers
+from gridfreq.headroom import compare_controllers
+from gridfreq.metrics import FrequencyMetrics
 from gridfreq.scenario import (_SCHEMA, Scenario, ScenarioError,
                                parse_scenario, parse_set_value,
                                preset_scenario, scenario_from_dict,

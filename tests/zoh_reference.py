@@ -216,16 +216,15 @@ class PVPlant:
 def reference_step_test(controller_spec: ControllerSpec,
                         plant_cfg: PVPlantConfig,
                         thresholds: ComplianceThresholds | None = None,
-                        sim: SimConfig | None = None,
+                        *, sim: SimConfig,
                         step_time: float = 1.0) -> StepResponse:
     """The open-loop step test on the block objects: same arguments and
     sample grid as ``run_step_test``, without its controller-kind check."""
     thr = thresholds or ComplianceThresholds()
-    cfg = sim or SimConfig(t_end=20.0)
     controller = reference_controller(controller_spec)
     plant = PVPlant(plant_cfg)
-    dt = cfg.dt
-    n_steps, stride, k_step = cfg.step_grid(step_time, "step_time")
+    dt = sim.dt
+    n_steps, stride, k_step = sim.step_grid(step_time, "step_time")
     t_list = [0.0]
     y_list = [0.0]
     for k in range(n_steps):

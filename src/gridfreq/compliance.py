@@ -100,13 +100,18 @@ def run_step_test(controller_spec: ControllerSpec,
     ``SimConfig.step_grid``'s: the step switches on at the first step
     boundary at or after ``step_time``, and must do so before the last
     whole sample at or before ``sim.t_end``; a negative or non-finite
-    ``step_time`` is rejected. Kind ``"none"`` has no response to test
+    ``step_time`` is rejected, and so is a horizon of fewer than the 3
+    samples that grading needs. Kind ``"none"`` has no response to test
     and raises ``ValueError``.
     """
     validate_responsive_kind(controller_spec.kind)
     thr = thresholds or ComplianceThresholds()
     dt = sim.dt
     n_steps, stride, k_step = sim.step_grid(step_time, "step_time")
+    if n_steps // stride < 2:
+        raise ValueError(f"sim.t_end ({sim.t_end}) must leave at least 3 "
+                         f"samples of sim.sample_interval "
+                         f"({sim.sample_interval}) to grade")
     hold = make_controller(controller_spec, dt)
     lo = plant_cfg.down_limit
     hi = plant_cfg.up_limit
@@ -148,7 +153,8 @@ def evaluate_compliance(response: StepResponse,
     """Grade a step response against the thresholds.
 
     A response that never leaves zero (or fails to settle) is an overall
-    fail with the reason recorded, not an exception.
+    fail with the reason recorded, not an exception. One of fewer than 3
+    samples cannot be graded and raises ``ValueError``.
     """
     thr = thresholds or ComplianceThresholds()
     try:

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .pv import Positive, check_fields
+from .pv import _KIND_PATHS, Positive, check_fields
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -146,10 +146,9 @@ def run_simulation(scenario: "Scenario", sim: SimConfig | None = None,
     frequency is below it, and the trace is an exact prefix of the full
     one. The step grid is ``SimConfig.step_grid``'s, so a contingency that
     would not switch on before the last sample raises ``ValueError``. A
-    final state that is not finite raises ``ValueError`` naming ``sim.dt``
-    and the fastest active time constant.
+    final state that is not finite raises ``ValueError`` naming
+    ``sim.dt``; no simple bound on ``dt`` tells such a run in advance.
     """
-    kind = scenario.controller.kind
     cfg = sim if sim is not None else scenario.sim
     system = scenario.system
     contingency = scenario.contingency
@@ -157,13 +156,11 @@ def run_simulation(scenario: "Scenario", sim: SimConfig | None = None,
                                              "contingency.t_event")
 
     dt = cfg.dt
-    droop_on = kind in ("droop", "combined")
-    inertia_on = kind in ("inertia", "combined")
     dcfg = scenario.controller.droop
     icfg = scenario.controller.inertia
     pv = system.pv
     gov = system.governor
-    kernel = _kernel(droop_on, inertia_on, icfg.recovery_clamp,
+    kernel = _kernel(scenario.controller.kind, icfg.recovery_clamp,
                      pv.rate_limit is not None)
     # The governor's discrete post-step clamp: its sign follows the event
     # direction and its magnitude stays within the fleet reserve.
@@ -189,18 +186,9 @@ def run_simulation(scenario: "Scenario", sim: SimConfig | None = None,
         inertia_out=trace.dp_pv_inertia_pu)
 
     if not math.isfinite(state_sum):
-        taus = [("system.pv.t_inv", pv.t_inv),
-                ("system.governor.t_gov", gov.t_gov)]
-        if droop_on:
-            taus.append(("controller.droop.t_lag", dcfg.t_lag))
-        if inertia_on:
-            taus += [("controller.inertia.t_lag", icfg.t_lag),
-                     ("controller.inertia.t_washout", icfg.t_washout)]
-        name, tau = min(taus, key=lambda item: item[1])
         raise ValueError(
             f"simulation diverged to a non-finite state: sim.dt ({dt} s) "
-            f"is too large for the fastest active time constant {name} "
-            f"({tau} s); classical RK4 needs dt / tau below about 2.785"
+            f"is too large for this scenario"
         )
     trace.cmd_min = c_lo
     trace.cmd_max = c_hi
@@ -357,23 +345,23 @@ _RECORD = """\
 
 _STATES = ("df", "dpm", "ld", "li", "xw", "p")
 
-#: Compiled step loops by (droop on, inertia on, recovery clamp on the
-#: inertia path, rate limiter on), each generated on its first use.
-_KERNELS: dict[tuple[bool, bool, bool, bool], Callable[..., tuple]] = {}
+#: Compiled step loops by (controller kind, recovery clamp on the inertia
+#: path, rate limiter on), each generated on its first use.
+_KERNELS: dict[tuple[str, bool, bool], Callable[..., tuple]] = {}
 
 
-def _kernel(droop_on: bool, inertia_on: bool, clamp_on: bool,
-            rate_on: bool) -> Callable[..., tuple]:
-    key = (droop_on, inertia_on, clamp_on and inertia_on, rate_on)
+def _kernel(kind: str, clamp_on: bool, rate_on: bool) -> Callable[..., tuple]:
+    key = (kind, clamp_on and _KIND_PATHS[kind][1], rate_on)
     kernel = _KERNELS.get(key)
     if kernel is None:
         kernel = _KERNELS[key] = _compile_kernel(*key)
     return kernel
 
 
-def _compile_kernel(droop_on: bool, inertia_on: bool, clamp_on: bool,
+def _compile_kernel(kind: str, clamp_on: bool,
                     rate_on: bool) -> Callable[..., tuple]:
     """Generate and compile the step loop of one variant."""
+    droop_on, inertia_on = _KIND_PATHS[kind]
     holds = {"D": droop_on, "d": not droop_on, "I": inertia_on,
              "i": not inertia_on, "C": clamp_on, "R": rate_on,
              "r": not rate_on}
@@ -401,10 +389,7 @@ def _compile_kernel(droop_on: bool, inertia_on: bool, clamp_on: bool,
         else:
             source.append(line)
 
-    kinds = {(False, False): "none", (True, False): "droop",
-             (False, True): "inertia", (True, True): "combined"}
-    name = kinds[droop_on, inertia_on]
-    name += "+clamp" * clamp_on + "+rate" * rate_on
+    name = kind + "+clamp" * clamp_on + "+rate" * rate_on
     namespace: dict[str, Callable[..., tuple]] = {}
     exec(compile("\n".join(source), f"<gridfreq rk4 {name}>", "exec"),
          namespace)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .pv import (Fraction, NonNegative, Positive, PVPlantConfig,
-                 check_fields)
+from .pv import (_KIND_PATHS, Fraction, NonNegative, Positive,
+                 PVPlantConfig, check_fields)
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -73,7 +73,7 @@ def steady_state_deviation(scenario: "Scenario") -> float:
     """
     system = scenario.system
     denom = system.governor.kappa / system.governor.r_gov + system.d_load
-    if scenario.controller.kind in ("droop", "combined"):
+    if _KIND_PATHS[scenario.controller.kind][0]:
         denom += system.pv.c_pv / scenario.controller.droop.r
     if denom == 0.0:
         raise ValueError(

@@ -35,7 +35,10 @@ import typing
 from dataclasses import dataclass
 from typing import Annotated
 
-CONTROLLER_KINDS = ("none", "droop", "inertia", "combined")
+# Each controller kind's paths: (droop path on, inertia path on).
+_KIND_PATHS = {"none": (False, False), "droop": (True, False),
+               "inertia": (False, True), "combined": (True, True)}
+CONTROLLER_KINDS = tuple(_KIND_PATHS)
 
 # Number-field constraints, declared in the field's annotation as
 # ``Annotated[float, <text>, <test>]`` and enforced by ``check_fields``.
@@ -186,9 +189,7 @@ def make_controller(spec: ControllerSpec, dt: float):
     delta_f > 0. Combined is the droop command plus the inertia command;
     kind ``"none"`` has both paths off and commands 0.0.
     """
-    kind = spec.kind
-    droop_on = kind in ("droop", "combined")
-    inertia_on = kind in ("inertia", "combined")
+    droop_on, inertia_on = _KIND_PATHS[spec.kind]
     dcfg = spec.droop
     icfg = spec.inertia
     r = dcfg.r

@@ -5,12 +5,12 @@ controller, contingency, sim) plus a name, and it is the whole description
 of a run: the engine, the sizer, the sweeps and the CLI take the controller
 kind and the integration settings from it. The config dataclasses are the
 schema: a section's keys are its dataclass's fields, parsed as their
-annotations say. Every key is optional when a ``preset`` supplies the base
-values; unknown keys are rejected so typos fail loudly. Numeric fields can
-also be addressed with dotted paths (``system.h_sys``,
-``controller.droop.r``) for command-line overrides and parameter sweeps.
-The named presets (``ei80``, ``ercot80``) are defined here, and
-``preset_scenario`` is the one function that builds them.
+annotations say; unknown keys are rejected so typos fail loudly. A named
+preset (``ei80``, ``ercot80``) is a partial document of the same shape,
+merged beneath the given one object by object; ``preset_scenario`` builds
+one with a controller kind. Numeric fields can also be addressed with
+dotted paths (``system.h_sys``, ``controller.droop.r``) for command-line
+overrides and parameter sweeps.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Any
 
 from .engine import SimConfig
 from .grid import Contingency, SystemParams
-from .pv import ControllerSpec, PVPlantConfig
+from .pv import ControllerSpec
 
 
 class ScenarioError(ValueError):
@@ -46,26 +46,21 @@ class Scenario:
 # ei80 is a large high-inertia grid with a relatively shallow worst event;
 # ercot80 a small low-inertia grid with a deep one that needs more PV
 # reserve. The numbers are synthetic calibration targets, not measurements
-# of any real system.
-_PRESETS: dict[str, dict[str, float]] = {
-    "ei80": {"h_sys": 2.0, "d_load": 1.0, "dp": 0.009, "headroom": 0.05},
-    "ercot80": {"h_sys": 1.5, "d_load": 1.0, "dp": 0.04, "headroom": 0.1},
+# of any real system. Each preset is a partial scenario document.
+_PRESETS: dict[str, dict[str, Any]] = {
+    "ei80": {"system": {"h_sys": 2.0, "d_load": 1.0,
+                        "pv": {"headroom": 0.05}},
+             "contingency": {"dp": 0.009, "t_event": 1.0}},
+    "ercot80": {"system": {"h_sys": 1.5, "d_load": 1.0,
+                           "pv": {"headroom": 0.1}},
+                "contingency": {"dp": 0.04, "t_event": 1.0}},
 }
 
 
 def preset_scenario(name: str, controller: str = "none") -> Scenario:
     """Build a full scenario from a named preset."""
-    if name not in _PRESETS:
-        raise ScenarioError(
-            f"unknown preset {name!r}; valid presets: "
-            f"{', '.join(sorted(_PRESETS))}"
-        )
-    entry = _PRESETS[name]
-    system = SystemParams(h_sys=entry["h_sys"], d_load=entry["d_load"],
-                          pv=PVPlantConfig(headroom=entry["headroom"]))
-    return Scenario(system=system,
-                    contingency=Contingency(dp=entry["dp"], t_event=1.0),
-                    controller=ControllerSpec(kind=controller), name=name)
+    return scenario_from_dict({"preset": name,
+                               "controller": {"kind": controller}})
 
 
 def _with_kind(scenario: Scenario, kind: str) -> Scenario:
@@ -138,19 +133,20 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
-    """Build a scenario from a parsed document, applying preset defaults."""
+    """Build a scenario from a parsed document merged over its preset's."""
     doc = dict(doc)
     name = doc.pop("name", None)
     preset = doc.pop("preset", None)
-
     if preset is not None:
-        base = preset_scenario(str(preset))
-        if name is None:
-            name = str(preset)
-    else:
-        base = None
-        if name is None:
-            name = "scenario"
+        preset = str(preset)
+        if preset not in _PRESETS:
+            raise ScenarioError(
+                f"unknown preset {preset!r}; valid presets: "
+                f"{', '.join(sorted(_PRESETS))}"
+            )
+        doc = _merge(_PRESETS[preset], doc)
+    if name is None:
+        name = "scenario" if preset is None else preset
 
     unknown = set(doc) - set(_SCHEMA)
     if unknown:
@@ -158,18 +154,25 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             f"unknown key(s) {', '.join(sorted(unknown))}; expected "
             f"{', '.join(sorted(_SCHEMA))} (plus name, preset)"
         )
-    sections = {
-        key: _build(section, doc.get(key, {}), key,
-                    None if base is None else getattr(base, key))
-        for key, section in _SCHEMA.items()
-    }
+    sections = {key: _build(section, doc.get(key, {}), key)
+                for key, section in _SCHEMA.items()}
     return Scenario(name=str(name), **sections)
 
 
-def _build(section: tuple[type, dict[str, Any]], doc: Any, path: str,
-           base: Any):
+def _merge(base: dict[str, Any], doc: dict[str, Any]) -> dict[str, Any]:
+    """``doc`` over ``base``: two objects merge key by key, and any other
+    value replaces the old one."""
+    merged = dict(base)
+    for key, value in doc.items():
+        old = merged.get(key)
+        merged[key] = (_merge(old, value) if isinstance(old, dict)
+                       and isinstance(value, dict) else value)
+    return merged
+
+
+def _build(section: tuple[type, dict[str, Any]], doc: Any, path: str):
     """Validate ``doc`` against a schema section and construct its
-    dataclass from ``base`` (or the class defaults) plus the given fields."""
+    dataclass from the given fields and the class defaults."""
     cls, fields = section
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path} must be an object")
@@ -182,21 +185,17 @@ def _build(section: tuple[type, dict[str, Any]], doc: Any, path: str,
     values: dict[str, Any] = {}
     for key, spec in fields.items():
         if isinstance(spec, tuple):
-            values[key] = _build(spec, doc.get(key, {}), f"{path}.{key}",
-                                 None if base is None else getattr(base, key))
+            values[key] = _build(spec, doc.get(key, {}), f"{path}.{key}")
         elif key in doc:
             values[key] = spec(doc[key], f"{path}.{key}")
-    if base is None:
-        missing = [f"{path}.{f.name}" for f in dataclasses.fields(cls)
-                   if f.default is dataclasses.MISSING
-                   and f.default_factory is dataclasses.MISSING
-                   and f.name not in values]
-        if missing:
-            raise ScenarioError(
-                f"{', '.join(missing)} is required without a preset")
+    missing = [f"{path}.{f.name}" for f in dataclasses.fields(cls)
+               if f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING
+               and f.name not in values]
+    if missing:
+        raise ScenarioError(
+            f"{', '.join(missing)} is required without a preset")
     try:
-        if base is not None:
-            return dataclasses.replace(base, **values)
         return cls(**values)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from None

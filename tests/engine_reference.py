@@ -226,18 +226,9 @@ def run_simulation(scenario: "Scenario", sim: SimConfig | None = None,
                 break
 
     if not math.isfinite(df + dpm + ld + li + xw + p):
-        taus = [("system.pv.t_inv", pv.t_inv),
-                ("system.governor.t_gov", gov.t_gov)]
-        if droop_on:
-            taus.append(("controller.droop.t_lag", dcfg.t_lag))
-        if inertia_on:
-            taus += [("controller.inertia.t_lag", icfg.t_lag),
-                     ("controller.inertia.t_washout", icfg.t_washout)]
-        name, tau = min(taus, key=lambda item: item[1])
         raise ValueError(
             f"simulation diverged to a non-finite state: sim.dt ({dt} s) "
-            f"is too large for the fastest active time constant {name} "
-            f"({tau} s); classical RK4 needs dt / tau below about 2.785"
+            f"is too large for this scenario"
         )
     trace.cmd_min = c_lo
     trace.cmd_max = c_hi

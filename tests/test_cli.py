@@ -158,6 +158,14 @@ class TestCompliance:
         err = capsys.readouterr().err
         assert "sim.t_end" in err and "step_time" in err
 
+    def test_horizon_of_two_samples_exits_1(self, capsys):
+        code = run_cli("compliance", "--preset", "ei80", "--controller",
+                       "droop", "--set", "sim.sample_interval=1.5",
+                       "--set", "sim.t_end=1.5")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sim.t_end" in err and "sim.sample_interval" in err
+
     def test_threshold_defaults_are_the_dataclass_defaults(self):
         args = build_parser().parse_args(["compliance", "--preset", "ei80"])
         defaults = ComplianceThresholds()

@@ -1,10 +1,10 @@
 """The benchmark's own gates, run as part of the test suite.
 
 The harness self-tests run in a subprocess exactly as documented in
-``perfbench/README.md``. The seed-0 ``sizing`` pool runs in process through
-``perfbench/workloads.py``, and so does the seed-0 ``compliance`` pool, so
-a sizer or step-test regression fails here and not only in a benchmark
-run.
+``perfbench/README.md``. The seed-0 pool of each of the four workloads
+runs in process through ``perfbench/workloads.py`` and must reproduce
+``perfbench/reference.json`` exactly, so a change to any output fails here
+and not only in a benchmark run.
 """
 
 import importlib.util
@@ -39,26 +39,32 @@ def test_harness_self_tests_pass():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_seed0_sizing_pool_matches_reference(workloads, tmp_path):
-    cases = workloads.generate("sizing", workloads.DEFAULT_SEED, tmp_path)
-    reference = workloads.load_reference("sizing")
+def check_seed0_pool(workloads, tmp_path, name):
+    """Every seed-0 outcome of workload ``name`` passes its check and
+    equals ``perfbench/reference.json`` exactly, not only within the
+    tolerance the benchmark allows."""
+    workload = workloads.WORKLOADS[name]
+    cases = workloads.generate(name, workloads.DEFAULT_SEED, tmp_path)
+    reference = workloads.load_reference(name)
     assert reference is not None and len(reference) == len(cases)
     for i, (case, expected) in enumerate(zip(cases, reference)):
-        raw = workloads.run_sizing(case)
-        outcome = workloads.summarize_sizing(case, raw)
-        assert workloads.check_sizing(case, raw, outcome) == [], i
-        # Exact, not only within the query tolerance the benchmark allows.
+        raw = workload.run(case)
+        outcome = workload.summarize(case, raw)
+        assert workload.check(case, raw, outcome) == [], i
         assert outcome == expected, i
+
+
+def test_seed0_study_pool_matches_reference(workloads, tmp_path):
+    check_seed0_pool(workloads, tmp_path, "study")
+
+
+def test_seed0_sizing_pool_matches_reference(workloads, tmp_path):
+    check_seed0_pool(workloads, tmp_path, "sizing")
+
+
+def test_seed0_export_pool_matches_reference(workloads, tmp_path):
+    check_seed0_pool(workloads, tmp_path, "export")
 
 
 def test_seed0_compliance_pool_matches_reference(workloads, tmp_path):
-    cases = workloads.generate("compliance", workloads.DEFAULT_SEED,
-                               tmp_path)
-    reference = workloads.load_reference("compliance")
-    assert reference is not None and len(reference) == len(cases)
-    for i, (case, expected) in enumerate(zip(cases, reference)):
-        raw = workloads.run_compliance(case)
-        outcome = workloads.summarize_compliance(case, raw)
-        assert workloads.check_compliance(case, raw, outcome) == [], i
-        # Exact, not only within the tolerance the benchmark allows.
-        assert outcome == expected, i
+    check_seed0_pool(workloads, tmp_path, "compliance")

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,8 +13,10 @@ from gridfreq.csvio import (METRICS_HEADER, TRACE_HEADER, read_metrics_csv,
                             read_trace_csv, write_metrics_csv,
                             write_trace_csv)
 from gridfreq.engine import SimConfig, Trace, run_simulation
+from gridfreq.grid import Contingency, SystemParams
 from gridfreq.headroom import compare_controllers
 from gridfreq.metrics import FrequencyMetrics
+from gridfreq.pv import ControllerSpec, PVPlantConfig
 from gridfreq.scenario import (_SCHEMA, Scenario, ScenarioError,
                                parse_scenario, parse_set_value,
                                preset_scenario, scenario_from_dict,
@@ -337,3 +341,56 @@ class TestScenarioDocForm:
     def test_scenario_equality_is_structural(self):
         assert preset_scenario("ei80") == preset_scenario("ei80")
         assert preset_scenario("ei80") != preset_scenario("ercot80")
+
+
+class TestPresetDocuments:
+    """A preset is a partial scenario document merged beneath the given
+    one."""
+
+    @pytest.mark.parametrize("kind", ["none", "droop", "inertia",
+                                      "combined"])
+    @pytest.mark.parametrize("name, h_sys, dp, headroom", [
+        ("ei80", 2.0, 0.009, 0.05), ("ercot80", 1.5, 0.04, 0.1)])
+    def test_preset_equals_hand_built(self, name, h_sys, dp, headroom,
+                                      kind):
+        want = Scenario(
+            system=SystemParams(h_sys=h_sys, d_load=1.0,
+                                pv=PVPlantConfig(headroom=headroom)),
+            contingency=Contingency(dp=dp, t_event=1.0),
+            controller=ControllerSpec(kind=kind), name=name)
+        assert preset_scenario(name, kind) == want
+
+    @pytest.mark.parametrize("name, h_sys, headroom", [
+        ("ei80", 2.0, 0.05), ("ercot80", 1.5, 0.1)])
+    def test_nested_field_keeps_the_preset_siblings(self, name, h_sys,
+                                                     headroom):
+        # ercot80's headroom is not the class default, so replacing the
+        # whole pv object would show
+        s = scenario_from_dict({"preset": name,
+                                "system": {"pv": {"c_pv": 0.3}}})
+        assert s.system.pv.c_pv == 0.3
+        assert s.system.pv.headroom == headroom
+        assert s.system.h_sys == h_sys
+
+    def test_null_name_takes_the_preset_name(self):
+        assert scenario_from_dict({"preset": "ei80",
+                                   "name": None}).name == "ei80"
+        assert scenario_from_dict({"system": {"h_sys": 2.0},
+                                   "contingency": {"dp": 0.01},
+                                   "name": None}).name == "scenario"
+
+    def test_non_string_preset_lists_the_valid_presets(self):
+        with pytest.raises(ScenarioError,
+                           match=r"valid presets: ei80, ercot80$"):
+            scenario_from_dict({"preset": ["x"]})
+
+    def test_readme_preset_table_matches(self):
+        text = (Path(__file__).resolve().parent.parent
+                / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` +\|([^\n]*)\|$", text, re.M)
+        assert [name for name, _ in rows] == ["ei80", "ercot80"]
+        for name, cells in rows:
+            s = preset_scenario(name)
+            values = [float(cell) for cell in cells.split("|")]
+            assert values == [s.system.h_sys, s.system.d_load,
+                              s.contingency.dp, s.system.pv.headroom], name

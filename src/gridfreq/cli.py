@@ -144,9 +144,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise ScenarioError(
             f"--values expects comma-separated numbers, got "
-            f"{args.values!r}") from None
+            f"{args.values!r}")
     rows = sweep_param(scenario, args.param, values)
     csv_rows = [(f"{scenario.name}[{args.param}={v:g}]", controller, m)
                 for v, m in rows]

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 from .engine import SimConfig
 from .pv import (ControllerSpec, Positive, PVPlantConfig, check_fields,
-                 make_controller, validate_responsive_kind)
+                 make_controller)
 
 REACTION_FRACTION = 0.02
 RISE_FRACTIONS = (0.1, 0.9)
@@ -104,7 +104,9 @@ def run_step_test(controller_spec: ControllerSpec,
     samples that grading needs. Kind ``"none"`` has no response to test
     and raises ``ValueError``.
     """
-    validate_responsive_kind(controller_spec.kind)
+    if controller_spec.kind == "none":
+        raise ValueError("controller.kind must be one of droop, inertia, "
+                         "combined, got 'none'")
     thr = thresholds or ComplianceThresholds()
     dt = sim.dt
     n_steps, stride, k_step = sim.step_grid(step_time, "step_time")

@@ -55,10 +55,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         check_fields(self)
         if self.sample_interval < self.dt:
-            raise ValueError(
-                f"sample_interval {self.sample_interval} must be >= dt "
-                f"{self.dt}"
-            )
+            raise ValueError(f"sample_interval must be >= dt ({self.dt}), "
+                             f"got {self.sample_interval!r}")
         _as_steps(self.sample_interval, self.dt, "sample_interval")
         _as_steps(self.t_end, self.dt, "t_end")
 
@@ -100,7 +98,8 @@ def _as_steps(total: float, dt: float, name: str) -> int:
     n = total / dt
     r = round(n)
     if r < 1 or abs(n - r) > 1e-6 * max(1.0, abs(n)):
-        raise ValueError(f"{name} ({total}) must be a multiple of dt ({dt})")
+        raise ValueError(
+            f"{name} must be a multiple of dt ({dt}), got {total!r}")
     return r
 
 

@@ -3,10 +3,11 @@
 The interconnection is reduced to one swing equation with load damping, a
 partially responsive governor fleet modelled as a single first-order path,
 and one equivalent PV plant. Deviations are per-unit on the system base;
-frequency deviation is per-unit on the nominal frequency. Each number
-field's annotation declares its constraint, and ``pv.check_fields``
-rejects a value that breaks it or is not finite, naming the field. The
-named presets that fill these classes are ``scenario.preset_scenario``'s.
+frequency deviation is per-unit on the nominal frequency. Each field's
+annotation states its type and any constraint, and ``pv.check_fields``
+rejects, naming the field, a value of the wrong type, a number that is
+not finite, or one that breaks its constraint. The named presets that
+fill these classes are ``scenario.preset_scenario``'s.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from .engine import run_simulation
 from .metrics import (FrequencyMetrics, _first_index_at_or_after,
                       compute_frequency_metrics)
 from .pv import (CONTROLLER_KINDS, FractionBelowOne, Positive,
-                 check_fields, validate_responsive_kind)
+                 ResponsiveKind, check_fields)
 from .scenario import Scenario, _with_kind, set_param, valid_param_paths
 
 
@@ -37,24 +37,21 @@ class HeadroomQuery:
     ``controller``, a responsive kind that replaces the scenario's own."""
 
     scenario: Scenario
-    controller: str
+    controller: ResponsiveKind
     target_nadir_hz: float
     h_max: FractionBelowOne = 0.5
     tolerance: Positive = 0.001
 
     def __post_init__(self) -> None:
         check_fields(self)
-        validate_responsive_kind(self.controller)
         if self.tolerance >= self.h_max:
-            raise ValueError(
-                f"tolerance ({self.tolerance}) must be below h_max "
-                f"({self.h_max})"
-            )
-        if self.target_nadir_hz >= self.scenario.system.f0:
-            raise ValueError(
-                f"target nadir ({self.target_nadir_hz}) must be below "
-                f"nominal frequency ({self.scenario.system.f0})"
-            )
+            raise ValueError(f"tolerance must be below h_max "
+                             f"({self.h_max}), got {self.tolerance!r}")
+        f0 = self.scenario.system.f0
+        if self.target_nadir_hz >= f0:
+            raise ValueError(f"target_nadir_hz must be below "
+                             f"scenario.system.f0 ({f0}), got "
+                             f"{self.target_nadir_hz!r}")
 
 
 @dataclass

@@ -20,10 +20,13 @@ washout use the exact zero-order-hold update, so a held input reproduces
 the continuous response at the sample instants for any step size. The
 closed-loop engine integrates the same paths as continuous states with RK4.
 
-The config dataclasses here and in ``grid``, ``engine``, ``compliance`` and
-``headroom`` declare each number field's constraint in its annotation, and
-``check_fields`` rejects, naming the field, a value that is not finite or
-breaks it.
+The config dataclasses here and in ``grid``, ``engine``, ``compliance``,
+``headroom`` and ``scenario`` state each field's whole contract in its
+annotation: its type (a number, an optional number, a boolean, a string
+or a nested section) and any constraint. ``_field_contracts`` reads the
+annotations once, and ``check_fields`` rejects, naming the field, a value
+of the wrong type, a number that is not finite, or one that breaks its
+constraint.
 """
 
 from __future__ import annotations
@@ -40,61 +43,72 @@ _KIND_PATHS = {"none": (False, False), "droop": (True, False),
                "inertia": (False, True), "combined": (True, True)}
 CONTROLLER_KINDS = tuple(_KIND_PATHS)
 
-# Number-field constraints, declared in the field's annotation as
-# ``Annotated[float, <text>, <test>]`` and enforced by ``check_fields``.
-# Each test also fails NaN and +/-inf.
+# A field's annotation is its whole contract: its type -- float (a
+# number), float | None, bool, str, or a config dataclass (a nested
+# section) -- and, for a number or a string, an optional constraint
+# declared as ``Annotated[<type>, <text>, <test>]``. ``check_fields``
+# enforces both. Each number test also fails NaN and +/-inf.
 Positive = Annotated[float, "> 0", lambda v: 0.0 < v < math.inf]
 NonNegative = Annotated[float, ">= 0", lambda v: 0.0 <= v < math.inf]
 Fraction = Annotated[float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0]
 FractionBelowOne = Annotated[float, "in [0, 1)", lambda v: 0.0 <= v < 1.0]
+Kind = Annotated[str, "one of " + ", ".join(CONTROLLER_KINDS),
+                 _KIND_PATHS.__contains__]
+# A kind with a response to size or test: every kind but the first, "none".
+ResponsiveKind = Annotated[str, "one of " + ", ".join(CONTROLLER_KINDS[1:]),
+                           CONTROLLER_KINDS[1:].__contains__]
+
+_TYPE_RULES = {float: "a number", bool: "true or false", str: "a string"}
 
 
 @functools.cache
-def _number_rules(cls: type) -> tuple[tuple, ...]:
-    """``(field, optional, text, test)`` for each number field of
-    dataclass ``cls``, read once from its annotations."""
+def _field_contracts(cls: type) -> tuple[tuple, ...]:
+    """``(field, type, optional, type_rule, rule, test)`` for each field of
+    dataclass ``cls``, read once from its annotations: ``type`` is float,
+    bool, str or a section's dataclass, ``type_rule`` the text naming it,
+    and ``test`` (``None`` for no test) checks the ``rule`` constraint."""
     hints = typing.get_type_hints(cls, include_extras=True)
-    rules = []
+    contracts = []
     for f in dataclasses.fields(cls):
         hint = hints[f.name]
         args = typing.get_args(hint)
         optional = type(None) in args
         if optional:  # X | None
             hint, = (a for a in args if a is not type(None))
-        text, test = "finite", math.isfinite
+        rule, test = "finite", (math.isfinite if hint is float else None)
         if typing.get_origin(hint) is Annotated:
-            hint, text, test = typing.get_args(hint)
-        if hint is float:
-            rules.append((f.name, optional, text, test))
-    return tuple(rules)
+            hint, rule, test = typing.get_args(hint)
+        type_rule = _TYPE_RULES.get(hint) or f"of type {hint.__name__}"
+        contracts.append((f.name, hint, optional, type_rule, rule, test))
+    return tuple(contracts)
 
 
 def check_fields(self) -> None:
-    """Reject any number field of config dataclass ``self`` that is not
-    finite or breaks its annotation's constraint, with ``ValueError("<field>
-    must be <text>, got <value>")``; ``None`` passes an optional field."""
-    for name, optional, text, test in _number_rules(type(self)):
+    """Reject any field of config dataclass ``self`` that breaks its
+    annotation -- the wrong type, a number that is not finite, or a failed
+    constraint -- with ``ValueError("<field> must be <rule>, got
+    <value>")``. ``None`` passes an optional field, and an int given for
+    a number is stored as a float."""
+    for name, kind, optional, type_rule, rule, test in _field_contracts(
+            type(self)):
         value = getattr(self, name)
-        if not ((value is None and optional) or test(value)):
-            rule = text if math.isfinite(value) else "finite"
-            raise ValueError(f"{name} must be {rule}, got {value}")
-
-
-def validate_kind(kind: str) -> str:
-    if kind not in CONTROLLER_KINDS:
-        raise ValueError(
-            f"unknown controller kind {kind!r}; "
-            f"expected one of {', '.join(CONTROLLER_KINDS)}"
-        )
-    return kind
-
-
-def validate_responsive_kind(kind: str) -> str:
-    """``validate_kind``, also rejecting ``"none"``, which has no response."""
-    if validate_kind(kind) == "none":
-        raise ValueError("controller kind 'none' has no response; choose "
-                         "droop, inertia or combined")
-    return kind
+        if value is None and optional:
+            continue
+        # bool is an int subclass, but only a boolean field takes one
+        accepted = (int, float) if kind is float else kind
+        if (not isinstance(value, accepted)
+                or isinstance(value, bool) and kind is not bool):
+            raise ValueError(f"{name} must be {type_rule}, got {value!r}")
+        if kind is float and type(value) is not float:
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf if value > 0 else -math.inf
+            object.__setattr__(self, name, value)
+        if test is not None and not test(value):
+            if kind is float and not math.isfinite(value):
+                rule = "finite"
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -166,12 +180,11 @@ class PVPlantConfig:
 class ControllerSpec:
     """Controller selection plus the parameters of both paths."""
 
-    kind: str = "none"
+    kind: Kind = "none"
     droop: DroopConfig = DroopConfig()
     inertia: InertiaConfig = InertiaConfig()
 
-    def __post_init__(self) -> None:
-        validate_kind(self.kind)
+    __post_init__ = check_fields
 
 
 def make_controller(spec: ControllerSpec, dt: float):

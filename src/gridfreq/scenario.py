@@ -4,27 +4,27 @@ A scenario is a single JSON document with four sections (system,
 controller, contingency, sim) plus a name, and it is the whole description
 of a run: the engine, the sizer, the sweeps and the CLI take the controller
 kind and the integration settings from it. The config dataclasses are the
-schema: a section's keys are its dataclass's fields, parsed as their
-annotations say; unknown keys are rejected so typos fail loudly. A named
+schema: a section's keys are its dataclass's fields, and each value passes
+unchanged to the dataclass, whose annotations state and check its type and
+constraint; unknown keys are rejected so typos fail loudly. A named
 preset (``ei80``, ``ercot80``) is a partial document of the same shape,
 merged beneath the given one object by object; ``preset_scenario`` builds
 one with a controller kind. Numeric fields can also be addressed with
 dotted paths (``system.h_sys``, ``controller.droop.r``) for command-line
-overrides and parameter sweeps.
+overrides and parameter sweeps. Every rejected field is named by its
+dotted path: ``system.pv.headroom must be in [0, 1), got 1.5``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import typing
 from dataclasses import dataclass, field
 from typing import Any
 
 from .engine import SimConfig
 from .grid import Contingency, SystemParams
-from .pv import ControllerSpec
+from .pv import ControllerSpec, check_fields, _field_contracts
 
 
 class ScenarioError(ValueError):
@@ -40,6 +40,8 @@ class Scenario:
     controller: ControllerSpec = field(default_factory=ControllerSpec)
     sim: SimConfig = field(default_factory=SimConfig)
     name: str = "scenario"
+
+    __post_init__ = check_fields
 
 
 # Desk-scale stand-ins for high-renewable interconnection equivalents.
@@ -71,51 +73,11 @@ def _with_kind(scenario: Scenario, kind: str) -> Scenario:
         controller=dataclasses.replace(scenario.controller, kind=kind))
 
 
-def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path} must be a number")
-    if not math.isfinite(value):
-        raise ScenarioError(f"{path} must be finite, got {value}")
-    return float(value)
-
-
-def _optional_number(value: Any, path: str) -> float | None:
-    return None if value is None else _number(value, path)
-
-
-def _boolean(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{path} must be true or false")
-    return value
-
-
-def _string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path} must be a string")
-    return value
-
-
-_CASTERS = {float: _number, float | None: _optional_number, bool: _boolean,
-            str: _string}
-
-
-def _schema(cls: type) -> dict[str, Any]:
-    """Field -> leaf caster, or (dataclass, its schema) for a nested
-    section, read from the annotations of dataclass ``cls``."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], _schema(hints[f.name]))
-            if dataclasses.is_dataclass(hints[f.name])
-            else _CASTERS[hints[f.name]]
-            for f in dataclasses.fields(cls)}
-
-
-# The scenario sections, derived from the config dataclasses that define
-# the fields: section -> (dataclass, its schema). Parsing walks it, and its
-# non-string leaves are the dotted paths that --set and parameter sweeps
-# address.
-_SCHEMA: dict[str, tuple[type, dict[str, Any]]] = {
-    key: spec for key, spec in _schema(Scenario).items()
-    if isinstance(spec, tuple)}
+# The scenario sections, read from Scenario's annotations: section ->
+# its config dataclass.
+_SCHEMA: dict[str, type] = {
+    name: kind for name, kind, *_ in _field_contracts(Scenario)
+    if dataclasses.is_dataclass(kind)}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -154,9 +116,12 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             f"unknown key(s) {', '.join(sorted(unknown))}; expected "
             f"{', '.join(sorted(_SCHEMA))} (plus name, preset)"
         )
-    sections = {key: _build(section, doc.get(key, {}), key)
-                for key, section in _SCHEMA.items()}
-    return Scenario(name=str(name), **sections)
+    sections = {key: _build(cls, doc.get(key, {}), key)
+                for key, cls in _SCHEMA.items()}
+    try:
+        return Scenario(name=name, **sections)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _merge(base: dict[str, Any], doc: dict[str, Any]) -> dict[str, Any]:
@@ -170,24 +135,25 @@ def _merge(base: dict[str, Any], doc: dict[str, Any]) -> dict[str, Any]:
     return merged
 
 
-def _build(section: tuple[type, dict[str, Any]], doc: Any, path: str):
-    """Validate ``doc`` against a schema section and construct its
-    dataclass from the given fields and the class defaults."""
-    cls, fields = section
+def _build(cls: type, doc: Any, path: str):
+    """Construct dataclass ``cls`` from the fields of section ``doc`` at
+    dotted ``path`` and the class defaults, building each nested section
+    given as an object the same way. A ``doc`` that is not an object is
+    returned as it is, for the parent's check to reject by name."""
     if not isinstance(doc, dict):
-        raise ScenarioError(f"{path} must be an object")
-    unknown = [key for key in doc if key not in fields]
+        return doc
+    contracts = _field_contracts(cls)
+    names = [name for name, *_ in contracts]
+    unknown = [key for key in doc if key not in names]
     if unknown:
         raise ScenarioError(
             f"unknown key {path}.{unknown[0]}; valid keys: "
-            f"{', '.join(sorted(fields))}"
+            f"{', '.join(sorted(names))}"
         )
-    values: dict[str, Any] = {}
-    for key, spec in fields.items():
-        if isinstance(spec, tuple):
-            values[key] = _build(spec, doc.get(key, {}), f"{path}.{key}")
-        elif key in doc:
-            values[key] = spec(doc[key], f"{path}.{key}")
+    values = dict(doc)
+    for name, kind, *_ in contracts:
+        if dataclasses.is_dataclass(kind):
+            values[name] = _build(kind, doc.get(name, {}), f"{path}.{name}")
     missing = [f"{path}.{f.name}" for f in dataclasses.fields(cls)
                if f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING
@@ -198,7 +164,7 @@ def _build(section: tuple[type, dict[str, Any]], doc: Any, path: str):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+        raise ScenarioError(f"{path}.{exc}") from None
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -206,17 +172,17 @@ def serialize_scenario(scenario: Scenario) -> str:
     return json.dumps(dataclasses.asdict(scenario), indent=2, sort_keys=True)
 
 
-def _leaf_casters(fields: dict[str, Any], prefix: str):
-    for key, spec in fields.items():
-        path = f"{prefix}.{key}" if prefix else key
-        if isinstance(spec, tuple):
-            yield from _leaf_casters(spec[1], path)
-        elif spec is not _string:
-            yield path, spec
+def _leaf_paths(cls: type, prefix: str):
+    for name, kind, *_ in _field_contracts(cls):
+        if dataclasses.is_dataclass(kind):
+            yield from _leaf_paths(kind, f"{prefix}{name}.")
+        elif kind is not str:
+            yield prefix + name
 
 
-# Dotted path -> caster for every field that set_param can replace.
-_PARAMS: dict[str, Any] = dict(sorted(_leaf_casters(_SCHEMA, "")))
+# The dotted path of every field that set_param can replace: each field
+# of a section that is neither a string nor a nested section.
+_PARAMS = tuple(sorted(_leaf_paths(Scenario, "")))
 
 
 def valid_param_paths() -> list[str]:
@@ -231,12 +197,11 @@ def set_param(scenario: Scenario, path: str, value: Any) -> Scenario:
             f"unknown parameter path {path!r}; valid paths: "
             f"{', '.join(_PARAMS)}"
         )
-    value = _PARAMS[path](value, path)
     prefix, _, leaf = path.rpartition(".")
     try:
         return _replace_nested(scenario, prefix.split("."), leaf, value)
     except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+        raise ScenarioError(f"{prefix}.{exc}") from None
 
 
 def _replace_nested(obj, parts: list[str], leaf: str, value: Any):

@@ -201,7 +201,8 @@ class TestHeadroom:
         code = run_cli("headroom", "--preset", "ei80", "--controller",
                        "none", "--target", "59.5")
         assert code == 1
-        assert "'none' has no response" in capsys.readouterr().err
+        assert ("controller must be one of droop, inertia, combined, "
+                "got 'none'") in capsys.readouterr().err
 
 
 class TestSweep:
@@ -219,6 +220,17 @@ class TestSweep:
         assert run_cli("sweep", "--preset", "ei80", "--param",
                        "system.h_sys", "--values", "a,b", "--out",
                        str(tmp_path / "s.csv")) == 1
+
+    @pytest.mark.parametrize("values", [",", "", " , "])
+    def test_no_values_exit_1(self, tmp_path, capsys, values):
+        # These used to exit 0 after writing a header-only table.
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--preset", "ei80", "--param",
+                       "system.h_sys", "--values", values, "--out",
+                       str(out)) == 1
+        assert (f"--values expects comma-separated numbers, got "
+                f"{values!r}") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_param_exits_1(self, tmp_path, capsys):
         assert run_cli("sweep", "--preset", "ei80", "--param", "nope",

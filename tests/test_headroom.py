@@ -142,8 +142,14 @@ class TestMinHeadroomForNadir:
 
     @pytest.mark.parametrize("changes, message", [
         ({"h_max": 1.0}, r"^h_max must be in \[0, 1\), got 1\.0"),
-        ({"controller": "none"}, "'none' has no response"),
-        ({"controller": "bogus"}, "unknown controller kind 'bogus'"),
+        pytest.param({"controller": "none"},
+                     "^controller must be one of droop, inertia, "
+                     "combined, got 'none'$",
+                     id="changes1-'none' has no response"),
+        pytest.param({"controller": "bogus"},
+                     "^controller must be one of droop, inertia, "
+                     "combined, got 'bogus'$",
+                     id="changes2-unknown controller kind 'bogus'"),
     ])
     def test_query_owns_the_sizer_input_rules(self, changes, message):
         # Each of these used to pass the query and fail only once the

@@ -8,7 +8,7 @@ import gridfreq.compliance
 from gridfreq.compliance import run_step_test
 from gridfreq.engine import SimConfig, run_simulation
 from gridfreq.pv import (ControllerSpec, DroopConfig, InertiaConfig,
-                         PVPlantConfig, make_controller, validate_kind)
+                         PVPlantConfig, make_controller)
 from gridfreq.scenario import preset_scenario
 from zoh_reference import reference_controller
 
@@ -326,8 +326,10 @@ class TestControllerFactory:
         assert both(-0.01) == d(-0.01) + i(-0.01)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown controller kind"):
-            validate_kind("sync")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^kind must be one of none, droop, inertia, "
+                                 "combined, got 'sync'$"):
             ControllerSpec(kind="sync")
+        with pytest.raises(ValueError):
+            ControllerSpec(kind="")
 

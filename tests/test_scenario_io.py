@@ -16,7 +16,7 @@ from gridfreq.engine import SimConfig, Trace, run_simulation
 from gridfreq.grid import Contingency, SystemParams
 from gridfreq.headroom import compare_controllers
 from gridfreq.metrics import FrequencyMetrics
-from gridfreq.pv import ControllerSpec, PVPlantConfig
+from gridfreq.pv import ControllerSpec, PVPlantConfig, _field_contracts
 from gridfreq.scenario import (_SCHEMA, Scenario, ScenarioError,
                                parse_scenario, parse_set_value,
                                preset_scenario, scenario_from_dict,
@@ -321,16 +321,20 @@ class TestSchema:
         ]
 
     def test_sections_match_dataclasses(self):
-        def check(sections, prefix):
-            for key, (cls, fields) in sections.items():
-                names = {f.name for f in dataclasses.fields(cls)}
-                assert set(fields) == names, prefix + key
-                check({k: v for k, v in fields.items()
-                       if isinstance(v, tuple)}, f"{prefix}{key}.")
+        def check(obj, prefix):
+            contracts = _field_contracts(type(obj))
+            assert [c[0] for c in contracts] == [
+                f.name for f in dataclasses.fields(obj)], prefix
+            for name, kind, *_ in contracts:
+                if dataclasses.is_dataclass(kind):
+                    assert type(getattr(obj, name)) is kind, prefix + name
+                    check(getattr(obj, name), f"{prefix}{name}.")
 
-        check(_SCHEMA, "")
-        assert set(_SCHEMA) | {"name"} == {
-            f.name for f in dataclasses.fields(Scenario)}
+        scenario = preset_scenario("ei80")
+        check(scenario, "")
+        assert _SCHEMA == {f.name: type(getattr(scenario, f.name))
+                           for f in dataclasses.fields(Scenario)
+                           if f.name != "name"}
 
 
 class TestScenarioDocForm:

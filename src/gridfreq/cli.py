@@ -7,7 +7,7 @@ Subcommands::
     compliance  open-loop step-response test over the scenario's sim
                 settings, text report + optional JSON
     headroom    minimum headroom meeting a nadir target (bisection)
-    sweep       metrics table over a range of one numeric parameter
+    sweep       metrics table over the values of one scenario field
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error,
 3 compliance test failed.
@@ -30,7 +30,7 @@ from .headroom import (HeadroomQuery, NonMonotoneError, UnattainableError,
                        sweep_param)
 from .metrics import compute_frequency_metrics
 from .pv import CONTROLLER_KINDS
-from .scenario import (Scenario, ScenarioError, _with_kind, parse_scenario,
+from .scenario import (Scenario, ScenarioError, parse_scenario,
                        parse_set_value, preset_scenario, set_param)
 
 EXIT_OK = 0
@@ -53,9 +53,10 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     src.add_argument("--preset", help="named preset scenario")
     src.add_argument("--config", help="scenario JSON document")
     p.add_argument("--set", action="append", default=[], metavar="PATH=VAL",
-                   help="override a numeric field, e.g. system.h_sys=3.0")
-    p.add_argument("--controller", choices=CONTROLLER_KINDS,
-                   help="override the controller kind")
+                   help="override any scenario field by its dotted path, "
+                        "e.g. system.h_sys=3.0")
+    p.add_argument("--controller", help="override the controller kind: "
+                   + ", ".join(CONTROLLER_KINDS))
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
@@ -67,10 +68,10 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         path, sep, raw = item.partition("=")
         if not sep:
             raise ScenarioError(f"--set expects PATH=VALUE, got {item!r}")
-        scenario = set_param(scenario, path.strip(),
-                             parse_set_value(raw))
-    if args.controller:
-        scenario = _with_kind(scenario, args.controller)
+        path = path.strip()
+        scenario = set_param(scenario, path, parse_set_value(path, raw))
+    if args.controller is not None:
+        scenario = set_param(scenario, "controller.kind", args.controller)
     return scenario
 
 
@@ -140,22 +141,24 @@ def _cmd_headroom(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    controller = scenario.controller.kind
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        values = []
+    values = [parse_set_value(args.param, v)
+              for v in args.values.split(",") if v.strip()]
     if not values:
         raise ScenarioError(
             f"--values expects comma-separated numbers, got "
             f"{args.values!r}")
-    rows = sweep_param(scenario, args.param, values)
-    csv_rows = [(f"{scenario.name}[{args.param}={v:g}]", controller, m)
-                for v, m in rows]
+    kind = scenario.controller.kind
+    rows = []
+    for v, m in sweep_param(scenario, args.param, values):
+        # a number in :g form; true, false and none in lower case
+        shown = f"{v:g}" if type(v) is float else str(v).lower()
+        rows.append((f"{args.param}={shown}",
+                     v if args.param == "controller.kind" else kind, m))
     with open(args.out, "w", newline="") as sink:
-        write_metrics_csv(csv_rows, sink)
-    for v, m in rows:
-        print(f"{args.param}={v:g}: nadir {m.nadir_hz:.4f} Hz, "
+        write_metrics_csv([(f"{scenario.name}[{label}]", row_kind, m)
+                           for label, row_kind, m in rows], sink)
+    for label, _, m in rows:
+        print(f"{label}: nadir {m.nadir_hz:.4f} Hz, "
               f"settling {m.settling_freq_hz:.4f} Hz")
     return EXIT_OK
 

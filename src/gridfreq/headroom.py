@@ -1,26 +1,27 @@
 """Headroom sizing, single-parameter sweeps and the controller comparison.
 
 Each entry point runs variants of one scenario: the sizer varies the PV
-headroom, a sweep one numeric field, and the comparison the controller
-kind. The sizer finds the smallest PV headroom fraction whose simulated
-nadir stays at or above a target (for example an under-frequency
-load-shedding threshold) by bisection. Monotonicity of nadir in headroom
-is probed at three points first rather than assumed, because limiters and
-recovery clamps could in principle bend the response; a failed probe is
-surfaced as an error instead of silently bisecting a non-monotone curve.
+headroom, a sweep any one scenario field, and the comparison is the sweep
+over the controller kind. The sizer finds the smallest PV headroom
+fraction whose simulated nadir stays at or above a target (for example an
+under-frequency load-shedding threshold) by bisection. Monotonicity of
+nadir in headroom is probed at three points first rather than assumed,
+because limiters and recovery clamps could in principle bend the
+response; a failed probe is surfaced as an error instead of silently
+bisecting a non-monotone curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from .engine import run_simulation
 from .metrics import (FrequencyMetrics, _first_index_at_or_after,
                       compute_frequency_metrics)
 from .pv import (CONTROLLER_KINDS, FractionBelowOne, Positive,
                  ResponsiveKind, check_fields)
-from .scenario import Scenario, _with_kind, set_param, valid_param_paths
+from .scenario import Scenario, set_param
 
 
 class UnattainableError(RuntimeError):
@@ -85,7 +86,7 @@ def min_headroom_for_nadir(query: HeadroomQuery) -> HeadroomResult:
     * Where only the pass/fail bit is needed, a run stops at the first
       sample below the target.
     """
-    scenario = _with_kind(query.scenario, query.controller)
+    scenario = set_param(query.scenario, "controller.kind", query.controller)
     target = query.target_nadir_hz
     evaluations: dict[float, float] = {}
     # (cmd_min, cmd_max, nadir) of completed runs inside their envelope.
@@ -116,13 +117,9 @@ def min_headroom_for_nadir(query: HeadroomQuery) -> HeadroomResult:
             evaluate(h, None)
         return evaluations[h]
 
-    def meets(h: float) -> bool:
-        if h in evaluations:
-            return evaluations[h] >= target
-        return evaluate(h, target) >= target
-
-    h_star = bisect_min_headroom(nadir, target, query.h_max,
-                                 query.tolerance, meets=meets)
+    h_star = bisect_min_headroom(
+        nadir, target, query.h_max, query.tolerance,
+        meets=lambda h: evaluate(h, target) >= target)
     return HeadroomResult(headroom=h_star, n_runs=n_runs,
                           evaluations=dict(evaluations))
 
@@ -166,6 +163,8 @@ def bisect_min_headroom(nadir: Callable[[float], float], target: float,
         lo = h_max / 2.0
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats: no point lies between
         if meets(mid):
             hi = mid
         else:
@@ -173,18 +172,14 @@ def bisect_min_headroom(nadir: Callable[[float], float], target: float,
     return hi
 
 
-def sweep_param(scenario: Scenario, param_path: str, values: list[float]
-                ) -> list[tuple[float, FrequencyMetrics]]:
+def sweep_param(scenario: Scenario, param_path: str, values: list[Any]
+                ) -> list[tuple[Any, FrequencyMetrics]]:
     """One metrics row per value, in input order: ``scenario`` run with
-    the field at ``param_path`` set to that value."""
-    if param_path not in valid_param_paths():
-        raise ValueError(
-            f"unknown parameter path {param_path!r}; valid paths: "
-            f"{', '.join(valid_param_paths())}"
-        )
+    the field at ``param_path`` set to that value by ``set_param``. Every
+    value is checked before the first run."""
+    variants = [set_param(scenario, param_path, v) for v in values]
     rows = []
-    for v in values:
-        s = set_param(scenario, param_path, v)
+    for v, s in zip(values, variants):
         trace = run_simulation(s)
         rows.append((v, compute_frequency_metrics(
             trace, s.contingency.t_event, f0=s.system.f0)))
@@ -194,14 +189,10 @@ def sweep_param(scenario: Scenario, param_path: str, values: list[float]
 def compare_controllers(scenario: Scenario) -> dict[str, FrequencyMetrics]:
     """Run the scenario under every controller kind and tabulate metrics.
 
-    Each run keeps the scenario's gains and settings and changes only its
-    controller kind. Returns one row per kind in the fixed order none,
-    droop, inertia, combined; repeated invocations produce identical
-    tables.
+    It is the sweep over ``controller.kind``: each run keeps the
+    scenario's gains and settings and changes only its controller kind.
+    Returns one row per kind in the fixed order none, droop, inertia,
+    combined; repeated invocations produce identical tables.
     """
-    table: dict[str, FrequencyMetrics] = {}
-    for kind in CONTROLLER_KINDS:
-        trace = run_simulation(_with_kind(scenario, kind))
-        table[kind] = compute_frequency_metrics(
-            trace, scenario.contingency.t_event, f0=scenario.system.f0)
-    return table
+    return dict(sweep_param(scenario, "controller.kind",
+                            list(CONTROLLER_KINDS)))

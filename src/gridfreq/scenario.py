@@ -9,10 +9,10 @@ unchanged to the dataclass, whose annotations state and check its type and
 constraint; unknown keys are rejected so typos fail loudly. A named
 preset (``ei80``, ``ercot80``) is a partial document of the same shape,
 merged beneath the given one object by object; ``preset_scenario`` builds
-one with a controller kind. Numeric fields can also be addressed with
-dotted paths (``system.h_sys``, ``controller.droop.r``) for command-line
-overrides and parameter sweeps. Every rejected field is named by its
-dotted path: ``system.pv.headroom must be in [0, 1), got 1.5``.
+one with a controller kind. Every section field, the controller kind
+included, also has a dotted path (``system.h_sys``, ``controller.kind``)
+for ``set_param``, ``--set`` and sweeps. Every rejected field is named by
+its dotted path: ``system.pv.headroom must be in [0, 1), got 1.5``.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ def preset_scenario(name: str, controller: str = "none") -> Scenario:
     """Build a full scenario from a named preset."""
     return scenario_from_dict({"preset": name,
                                "controller": {"kind": controller}})
-
-
-def _with_kind(scenario: Scenario, kind: str) -> Scenario:
-    """``scenario`` with controller kind ``kind`` and its gains unchanged;
-    ``ControllerSpec`` rejects an unknown kind."""
-    return dataclasses.replace(
-        scenario,
-        controller=dataclasses.replace(scenario.controller, kind=kind))
 
 
 # The scenario sections, read from Scenario's annotations: section ->
@@ -173,16 +165,17 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 
 def _leaf_paths(cls: type, prefix: str):
-    for name, kind, *_ in _field_contracts(cls):
+    for name, kind, optional, *_ in _field_contracts(cls):
         if dataclasses.is_dataclass(kind):
             yield from _leaf_paths(kind, f"{prefix}{name}.")
-        elif kind is not str:
-            yield prefix + name
+        else:
+            yield prefix + name, (kind, optional)
 
 
-# The dotted path of every field that set_param can replace: each field
-# of a section that is neither a string nor a nested section.
-_PARAMS = tuple(sorted(_leaf_paths(Scenario, "")))
+# The dotted path of every field of a section that set_param can replace,
+# mapped to its (type, optional) from the field's annotation.
+_PARAMS = dict(sorted(entry for section, cls in _SCHEMA.items()
+                      for entry in _leaf_paths(cls, f"{section}.")))
 
 
 def valid_param_paths() -> list[str]:
@@ -190,13 +183,20 @@ def valid_param_paths() -> list[str]:
     return list(_PARAMS)
 
 
-def set_param(scenario: Scenario, path: str, value: Any) -> Scenario:
-    """Return a copy of ``scenario`` with the field at ``path`` replaced."""
-    if path not in _PARAMS:
+def _param(path: str) -> tuple[type, bool]:
+    """The (type, optional) of the field at dotted ``path``."""
+    try:
+        return _PARAMS[path]
+    except KeyError:
         raise ScenarioError(
             f"unknown parameter path {path!r}; valid paths: "
             f"{', '.join(_PARAMS)}"
-        )
+        ) from None
+
+
+def set_param(scenario: Scenario, path: str, value: Any) -> Scenario:
+    """Return a copy of ``scenario`` with the field at ``path`` replaced."""
+    _param(path)
     prefix, _, leaf = path.rpartition(".")
     try:
         return _replace_nested(scenario, prefix.split("."), leaf, value)
@@ -212,14 +212,19 @@ def _replace_nested(obj, parts: list[str], leaf: str, value: Any):
         obj, **{parts[0]: _replace_nested(child, parts[1:], leaf, value)})
 
 
-def parse_set_value(text: str) -> Any:
-    """Parse a --set value: bool words, 'none', otherwise a float."""
-    lowered = text.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("none", "null"):
+def parse_set_value(path: str, text: str) -> Any:
+    """Read ``text`` as a value for the field at dotted ``path``, by its
+    annotation: a boolean takes ``true`` or ``false``, an optional number
+    ``none`` or ``null`` as unset, and a number is read with ``float()``.
+    Any other text is returned stripped, for the field's own check in
+    :func:`set_param` to reject by name."""
+    kind, optional = _param(path)
+    text = text.strip()
+    if kind is bool and text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    if optional and text.lower() in ("none", "null"):
         return None
     try:
-        return float(text)
+        return float(text) if kind is float else text
     except ValueError:
-        raise ScenarioError(f"cannot parse value {text!r}") from None
+        return text

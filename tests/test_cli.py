@@ -71,9 +71,35 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_set_value_exits_1(self, tmp_path, capsys):
-        code = run_cli("simulate", "--preset", "ei80", "--out",
-                       str(tmp_path / "t.csv"), "--set", "system.h_sys=fast")
+        out = tmp_path / "t.csv"
+        code = run_cli("simulate", "--preset", "ei80", "--out", str(out),
+                       "--set", "system.h_sys=abc")
         assert code == 1
+        assert capsys.readouterr().err == (
+            "error: system.h_sys must be a number, got 'abc'\n")
+        assert not out.exists()
+
+    def test_set_without_value_exits_1(self, tmp_path, capsys):
+        code = run_cli("simulate", "--preset", "ei80", "--out",
+                       str(tmp_path / "t.csv"), "--set", "system.h_sys")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --set expects PATH=VALUE, got 'system.h_sys'\n")
+
+    def test_unknown_controller_names_the_field(self, tmp_path, capsys):
+        code = run_cli("simulate", "--preset", "ei80", "--out",
+                       str(tmp_path / "t.csv"), "--controller", "sync")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: controller.kind must be one of none, droop, inertia, "
+            "combined, got 'sync'\n")
+
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        code = run_cli("simulate", "--preset", "ei80", "--out", str(out),
+                       "--set", "sim.t_end=5")
+        assert code == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_non_finite_set_value_exits_1(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -215,6 +241,40 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert len(lines) == 3
         assert "system.h_sys=2" in lines[1]
+
+    def test_boolean_sweep(self, tmp_path, fast_args, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli("sweep", "--preset", "ei80", "--controller",
+                       "inertia", "--param",
+                       "controller.inertia.recovery_clamp", "--values",
+                       "true,false", "--out", str(out), *fast_args)
+        assert code == 0
+        rows = [line.split(",")[:2]
+                for line in out.read_text().splitlines()[1:]]
+        assert rows == [
+            ["ei80[controller.inertia.recovery_clamp=true]", "inertia"],
+            ["ei80[controller.inertia.recovery_clamp=false]", "inertia"]]
+
+    def test_kind_sweep_names_each_row_kind(self, tmp_path, fast_args,
+                                            capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli("sweep", "--preset", "ercot80", "--param",
+                       "controller.kind", "--values", "droop, combined",
+                       "--out", str(out), *fast_args)
+        assert code == 0
+        rows = [line.split(",")[:2]
+                for line in out.read_text().splitlines()[1:]]
+        assert rows == [["ercot80[controller.kind=droop]", "droop"],
+                        ["ercot80[controller.kind=combined]", "combined"]]
+        # the same metrics as compare gives for those kinds
+        table = tmp_path / "compare.csv"
+        assert run_cli("compare", "--preset", "ercot80", "--out",
+                       str(table), *fast_args) == 0
+        compared = {line.split(",")[1]: line.split(",")[2:]
+                    for line in table.read_text().splitlines()[1:]}
+        for line in out.read_text().splitlines()[1:]:
+            fields = line.split(",")
+            assert fields[2:] == compared[fields[1]]
 
     def test_bad_values_exit_1(self, tmp_path, capsys):
         assert run_cli("sweep", "--preset", "ei80", "--param",

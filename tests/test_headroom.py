@@ -100,6 +100,24 @@ class TestBisectionCore:
                                 meets=lambda h: True)
 
 
+    def test_tolerance_below_float_spacing_ends(self):
+        # Once lo and hi are adjacent floats, their midpoint is one of
+        # them; the bisection must stop there instead of looping.
+        calls = []
+
+        def meets(h):
+            calls.append(h)
+            if len(calls) > 200:
+                raise AssertionError("bisection did not end")
+            return 59.0 + h >= 59.25
+
+        h = bisect_min_headroom(lambda h: 59.0 + h, 59.25, h_max=0.5,
+                                tolerance=1e-30, meets=meets)
+        # the smallest float that meets the target
+        assert 59.0 + math.nextafter(h, 0.0) < 59.25 <= 59.0 + h
+        assert len(set(calls)) == len(calls)
+
+
 class TestMinHeadroomForNadir:
     def test_ercot_combined_result_brackets_target(self):
         scenario = preset("ercot80", "combined")
@@ -298,6 +316,14 @@ class TestSweepParam:
         scenario = preset("ei80")
         with pytest.raises(ValueError, match="system.h_sys"):
             sweep_param(scenario, "nonexistent", [1.0])
+
+    def test_bad_value_is_rejected_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(headroom, "run_simulation", runs.append)
+        with pytest.raises(ValueError, match="^system.h_sys must be a "
+                                             "number, got 'abc'$"):
+            sweep_param(preset("ei80"), "system.h_sys", [2.0, "abc"])
+        assert runs == []
 
     def test_sweep_is_deterministic(self):
         scenario = preset("ercot80", "droop")

@@ -91,6 +91,11 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=f"{path} must be finite"):
             parse_scenario(doc)
 
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ScenarioError, match="^scenario document must "
+                                                "be a JSON object$"):
+            parse_scenario("[1]")
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(ScenarioError, match="line"):
             parse_scenario('{"preset": "ei80",}')
@@ -107,6 +112,9 @@ class TestParseScenario:
             parse_scenario(
                 '{"preset": "ei80", "controller":'
                 ' {"inertia": {"recovery_clamp": 1}}}')
+        with pytest.raises(ScenarioError, match="^system must be of type "
+                                                "SystemParams, got 5$"):
+            parse_scenario('{"preset": "ei80", "system": 5}')
 
     def test_roundtrip_presets(self):
         for name in ("ei80", "ercot80"):
@@ -145,6 +153,9 @@ class TestSetParam:
         s2 = set_param(s, "system.governor.t_gov", 6.0)
         assert s2.system.governor.t_gov == 6.0
         assert s.system.governor.t_gov == 8.0  # original untouched
+        s3 = set_param(s, "controller.kind", "droop")
+        assert s3.controller.kind == "droop"
+        assert s3.controller.droop == s.controller.droop
 
     def test_unknown_path_lists_valid_paths(self):
         s = preset_scenario("ei80")
@@ -167,12 +178,26 @@ class TestSetParam:
             set_param(s, "system.h_sys", float("nan"))
 
     def test_parse_set_value(self):
-        assert parse_set_value("0.25") == 0.25
-        assert parse_set_value("true") is True
-        assert parse_set_value("false") is False
-        assert parse_set_value("none") is None
-        with pytest.raises(ScenarioError):
-            parse_set_value("fast")
+        # Each text is read by the annotation of the field it is for.
+        assert parse_set_value("system.h_sys", "0.25") == 0.25
+        clamp = "controller.inertia.recovery_clamp"
+        assert parse_set_value(clamp, "true") is True
+        assert parse_set_value(clamp, " FALSE ") is False
+        assert parse_set_value("system.pv.rate_limit", "none") is None
+        assert parse_set_value("system.pv.rate_limit", "null") is None
+        assert parse_set_value("system.pv.rate_limit", "0.5") == 0.5
+        # The kind "none" is a kind, not an unset value.
+        assert parse_set_value("controller.kind", " none ") == "none"
+        # Other text is passed on, for the field's check to reject.
+        assert parse_set_value("system.h_sys", " fast ") == "fast"
+        assert parse_set_value("system.h_sys", "none") == "none"
+        assert parse_set_value(clamp, "1") == "1"
+        with pytest.raises(ScenarioError, match="^system.h_sys must be a "
+                                                "number, got 'fast'$"):
+            set_param(preset_scenario("ei80"), "system.h_sys",
+                      parse_set_value("system.h_sys", "fast"))
+        with pytest.raises(ScenarioError, match="valid paths"):
+            parse_set_value("system.bogus", "1")
 
 
 class TestTraceCsv:
@@ -246,6 +271,11 @@ class TestMetricsCsv:
         write_metrics_csv([], sink)
         assert sink.getvalue() == METRICS_HEADER + "\n"
 
+    def test_bad_header_rejected(self):
+        with pytest.raises(ValueError, match="^unexpected metrics header: "
+                                             "'scenario,nadir'$"):
+            read_metrics_csv(io.StringIO("scenario,nadir\n"))
+
     def test_roundtrip(self):
         m = FrequencyMetrics(nadir_hz=59.71234, nadir_time_s=2.34,
                              max_abs_rocof_hz_per_s=0.45678,
@@ -311,7 +341,7 @@ class TestSchema:
             "controller.droop.t_lag", "controller.inertia.deadband",
             "controller.inertia.k", "controller.inertia.recovery_clamp",
             "controller.inertia.t_lag", "controller.inertia.t_washout",
-            "sim.dt", "sim.rocof_window", "sim.sample_interval",
+            "controller.kind", "sim.dt", "sim.rocof_window", "sim.sample_interval",
             "sim.t_end", "system.d_load", "system.f0",
             "system.governor.kappa", "system.governor.r_gov",
             "system.governor.reserve_limit", "system.governor.t_gov",

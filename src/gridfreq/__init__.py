@@ -12,18 +12,17 @@ from .compliance import (ComplianceReport, ComplianceThresholds,
                          evaluate_compliance, format_report, run_step_test)
 from .csvio import (read_metrics_csv, read_trace_csv, write_metrics_csv,
                     write_trace_csv)
-from .engine import SimConfig, Trace, run_simulation
-from .grid import (Contingency, GovernorFleet, SystemParams,
-                   steady_state_deviation)
+from .engine import Trace, run_simulation, steady_state_deviation
 from .headroom import (HeadroomQuery, HeadroomResult, NonMonotoneError,
                        UnattainableError, compare_controllers,
                        min_headroom_for_nadir, sweep_param)
 from .metrics import FrequencyMetrics, compute_frequency_metrics
-from .pv import (CONTROLLER_KINDS, ControllerSpec, DroopConfig,
-                 InertiaConfig, PVPlantConfig)
-from .scenario import (Scenario, ScenarioError, parse_scenario,
-                       preset_scenario, scenario_from_dict,
-                       serialize_scenario, set_param, valid_param_paths)
+from .scenario import (CONTROLLER_KINDS, Contingency, ControllerSpec,
+                       DroopConfig, GovernorFleet, InertiaConfig,
+                       PVPlantConfig, Scenario, ScenarioError, SimConfig,
+                       SystemParams, parse_scenario, preset_scenario,
+                       scenario_from_dict, serialize_scenario, set_param,
+                       valid_param_paths)
 
 __version__ = "0.1.0"
 

@@ -29,9 +29,9 @@ from .headroom import (HeadroomQuery, NonMonotoneError, UnattainableError,
                        compare_controllers, min_headroom_for_nadir,
                        sweep_param)
 from .metrics import compute_frequency_metrics
-from .pv import CONTROLLER_KINDS
-from .scenario import (Scenario, ScenarioError, parse_scenario,
-                       parse_set_value, preset_scenario, set_param)
+from .scenario import (CONTROLLER_KINDS, Scenario, ScenarioError,
+                       parse_scenario, parse_set_value, preset_scenario,
+                       scenario_from_dict, set_param)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -64,12 +64,24 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         scenario = preset_scenario(args.preset)
     else:
         scenario = parse_scenario(Path(args.config).read_text())
-    for item in args.set:
-        path, sep, raw = item.partition("=")
-        if not sep:
-            raise ScenarioError(f"--set expects PATH=VALUE, got {item!r}")
-        path = path.strip()
-        scenario = set_param(scenario, path, parse_set_value(path, raw))
+    if args.set:
+        # All overrides go into the document before one build, so fields
+        # checked together (sim.dt and sim.sample_interval) are checked
+        # with their final values, in any order.
+        doc = dataclasses.asdict(scenario)
+        for item in args.set:
+            path, sep, raw = item.partition("=")
+            if not sep:
+                raise ScenarioError(
+                    f"--set expects PATH=VALUE, got {item!r}")
+            path = path.strip()
+            value = parse_set_value(path, raw)
+            *sections, leaf = path.split(".")
+            section = doc
+            for name in sections:
+                section = section[name]
+            section[leaf] = value
+        scenario = scenario_from_dict(doc)
     if args.controller is not None:
         scenario = set_param(scenario, "controller.kind", args.controller)
     return scenario
@@ -145,7 +157,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               for v in args.values.split(",") if v.strip()]
     if not values:
         raise ScenarioError(
-            f"--values expects comma-separated numbers, got "
+            f"--values expects comma-separated values, got "
             f"{args.values!r}")
     kind = scenario.controller.kind
     rows = []

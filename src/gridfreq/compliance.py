@@ -7,6 +7,25 @@ interpolates threshold crossings between samples so the values do not
 snap to the sample grid. The default threshold values are configurable
 stand-ins in the style of North American interconnection performance
 guidance, not normative figures.
+
+Three controller topologies are supported:
+
+* droop       -- deadband -> low-pass lag -> gain 1/r, proportional support.
+* inertia     -- deadband -> low-pass lag -> gain k -> washout, a synthetic
+                 inertia response proportional to -d(delta_f)/dt.
+* combined    -- the sum of the droop and inertia paths.
+
+The deadband is offset-style (zero inside the band, shifted linear outside),
+so commands never jump at the band edge. Commands are in plant per-unit on
+the nameplate base (P_min = 0, P_max = 1 times available power). The plant
+envelope clamps commands into the headroom band, optionally rate-limits
+them and applies the inverter lag; the closed-loop engine then scales the
+output to the system base.
+
+``make_controller`` is the step test's discrete controller. Its lags and
+washout use the exact zero-order-hold update, so a held input reproduces
+the continuous response at the sample instants for any step size; the
+engine integrates the same paths as continuous states with RK4.
 """
 
 from __future__ import annotations
@@ -15,9 +34,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
-from .engine import SimConfig
-from .pv import (ControllerSpec, Positive, PVPlantConfig, check_fields,
-                 make_controller)
+from .scenario import (_KIND_PATHS, ControllerSpec, Positive, PVPlantConfig,
+                       SimConfig, check_fields)
 
 REACTION_FRACTION = 0.02
 RISE_FRACTIONS = (0.1, 0.9)
@@ -82,6 +100,70 @@ class ComplianceReport:
         if self.metrics is not None:
             out["metrics"] = asdict(self.metrics)
         return out
+
+
+def make_controller(spec: ControllerSpec, dt: float):
+    """Discrete controller for a fixed step ``dt``: returns a
+    ``hold(delta_f, n) -> cmds`` closure holding the three filter states.
+
+    Each call holds ``delta_f`` for ``n`` steps and returns the ``n``
+    sampled post-update commands in plant pu; the deadbands and the
+    recovery-clamp direction are evaluated once per call. Droop: deadband
+    -> lag -> -1/r, so a steady deviation df beyond the band settles to
+    -(df -/+ band)/r. Inertia: deadband -> lag -> gain k -> washout (output
+    (u - x)/T), which settles to -k * d(delta_f)/dt on a ramp. With
+    ``recovery_clamp`` on, inertia output whose sign would oppose arresting
+    the event is zeroed: clamped to >= 0 while delta_f < 0 and <= 0 while
+    delta_f > 0. Combined is the droop command plus the inertia command;
+    kind ``"none"`` has both paths off and commands 0.0.
+    """
+    droop_on, inertia_on = _KIND_PATHS[spec.kind]
+    dcfg = spec.droop
+    icfg = spec.inertia
+    r = dcfg.r
+    a_d = -math.expm1(-dt / dcfg.t_lag)
+    k = icfg.k
+    a_i = -math.expm1(-dt / icfg.t_lag)
+    t_w = icfg.t_washout
+    e_w = math.exp(-dt / t_w)
+    clamp = icfg.recovery_clamp
+    y_d = y_i = x_w = 0.0
+
+    def hold(delta_f: float, n: int) -> list[float]:
+        nonlocal y_d, y_i, x_w
+        u_d = _deadband(delta_f, dcfg.deadband)
+        u_i = _deadband(delta_f, icfg.deadband)
+        # the recovery clamp zeroes an inertia command of delta_f's sign;
+        # side is 0.0 when it is off or delta_f is zero
+        side = float((delta_f > 0.0) - (delta_f < 0.0)) if clamp else 0.0
+        cmds = []
+        for _ in range(n):
+            cmd = 0.0
+            if droop_on:
+                y_d += (u_d - y_d) * a_d
+                cmd = -y_d / r
+            if inertia_on:
+                y_i += (u_i - y_i) * a_i
+                u_w = k * y_i
+                x_w = u_w + (x_w - u_w) * e_w
+                c_i = -((u_w - x_w) / t_w)
+                if c_i * side > 0.0:
+                    c_i = 0.0
+                # 0.0 + c_i would turn a -0.0 command into 0.0
+                cmd = cmd + c_i if droop_on else c_i
+            cmds.append(cmd)
+        return cmds
+
+    return hold
+
+
+def _deadband(delta_f: float, band: float) -> float:
+    """Offset-style deadband: zero inside +/-band, shifted linear outside."""
+    if delta_f > band:
+        return delta_f - band
+    if delta_f < -band:
+        return delta_f + band
+    return 0.0
 
 
 def run_step_test(controller_spec: ControllerSpec,

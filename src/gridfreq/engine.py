@@ -1,5 +1,11 @@
 """Deterministic fixed-step simulation of a frequency event.
 
+The interconnection is reduced to one swing equation with load damping, a
+partially responsive governor fleet modelled as a single first-order path,
+and one equivalent PV plant. Deviations are per-unit on the system base;
+frequency deviation is per-unit on the nominal frequency.
+``steady_state_deviation`` is the closed-form balance the loop settles to.
+
 One run integrates six coupled states with classical fourth-order
 Runge-Kutta: frequency deviation, governor mechanical power, the droop-path
 lag, the inertia-path lag and washout, and the inverter lag. Controller
@@ -35,72 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-from .pv import _KIND_PATHS, Positive, check_fields
-
-if TYPE_CHECKING:
-    from .scenario import Scenario
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Integration and sampling settings."""
-
-    dt: Positive = 0.005
-    t_end: Positive = 60.0
-    sample_interval: Positive = 0.01
-    rocof_window: Positive = 0.1
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.sample_interval < self.dt:
-            raise ValueError(f"sample_interval must be >= dt ({self.dt}), "
-                             f"got {self.sample_interval!r}")
-        _as_steps(self.sample_interval, self.dt, "sample_interval")
-        _as_steps(self.t_end, self.dt, "t_end")
-
-    def step_grid(self, t_event: float,
-                  event_field: str) -> tuple[int, int, int]:
-        """The run's integer grid, ``(n_steps, stride, k_event)``, for an
-        event at ``t_event``.
-
-        A sample is taken every ``stride`` steps of ``dt``, and the run
-        ends at the last whole sample at or before ``t_end``. The event
-        switches on at step ``k_event``, the first step boundary at or
-        after ``t_event``. An event time that is negative or not finite
-        raises ``ValueError`` naming ``event_field``, and an event that
-        would not switch on before the last sample raises one naming
-        ``sim.t_end`` and ``event_field``.
-        """
-        if not 0.0 <= t_event < math.inf:
-            raise ValueError(
-                f"{event_field} must be finite and >= 0, got {t_event}")
-        dt = self.dt
-        stride = _as_steps(self.sample_interval, dt, "sample_interval")
-        n_steps = _as_steps(self.t_end, dt, "t_end") // stride * stride
-        n = t_event / dt
-        k_event = round(n)
-        if abs(n - k_event) > 1e-6 * max(1.0, abs(n)):
-            k_event = int(n) + 1
-        if k_event >= n_steps:
-            raise ValueError(
-                f"sim.t_end ({self.t_end}) must leave at least one sim.dt "
-                f"({dt}) step after {event_field} ({t_event}) and before "
-                f"the last whole sample (t = {n_steps * dt:g} s), or the "
-                f"event never switches on"
-            )
-        return n_steps, stride, k_event
-
-
-def _as_steps(total: float, dt: float, name: str) -> int:
-    """Number of dt steps in ``total``, requiring an integer multiple."""
-    n = total / dt
-    r = round(n)
-    if r < 1 or abs(n - r) > 1e-6 * max(1.0, abs(n)):
-        raise ValueError(
-            f"{name} must be a multiple of dt ({dt}), got {total!r}")
-    return r
+from .scenario import _KIND_PATHS, Scenario, SimConfig
 
 
 @dataclass
@@ -193,6 +136,26 @@ def run_simulation(scenario: "Scenario", sim: SimConfig | None = None,
     trace.cmd_max = c_hi
     _fill_rocof(trace, cfg)
     return trace
+
+
+def steady_state_deviation(scenario: "Scenario") -> float:
+    """Quasi-steady frequency deviation (pu) after primary response settles.
+
+    Analytic balance of ``scenario``'s contingency, neglecting deadbands
+    and limits: delta_f = -dp / (kappa/r_gov + d_load [+ c_pv/r]), where
+    the PV droop term, with the droop path's ``r``, counts when the
+    controller kind is droop or combined. With no responsive resource the
+    denominator is zero and ``ValueError`` is raised.
+    """
+    system = scenario.system
+    denom = system.governor.kappa / system.governor.r_gov + system.d_load
+    if _KIND_PATHS[scenario.controller.kind][0]:
+        denom += system.pv.c_pv / scenario.controller.droop.r
+    if denom == 0.0:
+        raise ValueError(
+            "no responsive resources: kappa/r_gov + d_load is zero"
+        )
+    return -scenario.contingency.dp / denom
 
 
 # The step loop of every variant. The first three columns of a line are

@@ -19,9 +19,8 @@ from typing import Any, Callable
 from .engine import run_simulation
 from .metrics import (FrequencyMetrics, _first_index_at_or_after,
                       compute_frequency_metrics)
-from .pv import (CONTROLLER_KINDS, FractionBelowOne, Positive,
-                 ResponsiveKind, check_fields)
-from .scenario import Scenario, set_param
+from .scenario import (CONTROLLER_KINDS, FractionBelowOne, Positive,
+                       ResponsiveKind, Scenario, check_fields, set_param)
 
 
 class UnattainableError(RuntimeError):

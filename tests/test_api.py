@@ -178,3 +178,16 @@ def test_metrics_only_reads_traces():
 
 def test_compliance_grades_without_metrics():
     assert "metrics" not in _package_imports("compliance")
+
+
+def test_scenario_schema_imports_no_package_module():
+    # The schema is the bottom layer: every other module may read it, so it
+    # reads none of them, and no import cycle needs a TYPE_CHECKING guard.
+    assert _package_imports("scenario") == set()
+
+
+def test_no_type_checking_imports():
+    files = [path.name for path in sorted((ROOT / "src" / "gridfreq")
+                                          .glob("*.py"))
+             if "TYPE_CHECKING" in path.read_text()]
+    assert files == []

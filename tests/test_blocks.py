@@ -1,8 +1,8 @@
 """Analytic checks of the shipped control blocks.
 
-The deadband is ``pv._deadband``. The lag and the washout are the droop and
-inertia paths of ``pv.make_controller``'s held-input controller, reduced to
-the bare block by their gains. The plant envelope is the magnitude clamp
+The deadband is ``compliance._deadband``. The lag and the washout are the
+droop and inertia paths of ``compliance.make_controller``'s held-input
+controller, reduced to the bare block by their gains. The plant envelope is the magnitude clamp
 and rate limit inside ``compliance.run_step_test``, fed scripted commands
 by a stub controller.
 """
@@ -14,10 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridfreq import compliance
-from gridfreq.compliance import run_step_test
-from gridfreq.engine import SimConfig
-from gridfreq.pv import (ControllerSpec, DroopConfig, InertiaConfig,
-                         PVPlantConfig, _deadband, make_controller)
+from gridfreq.compliance import _deadband, make_controller, run_step_test
+from gridfreq.scenario import (ControllerSpec, DroopConfig, InertiaConfig,
+                               PVPlantConfig, SimConfig)
 
 
 def droop_lag(t_const, dt):

@@ -115,6 +115,42 @@ class TestSimulate:
         assert code == 1
         assert "valid paths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sets", [
+        ("sim.dt=0.003", "sim.sample_interval=0.009", "sim.t_end=9"),
+        ("sim.sample_interval=0.009", "sim.t_end=9", "sim.dt=0.003"),
+        ("sim.t_end=9", "sim.dt=0.003", "sim.sample_interval=0.009"),
+        ("sim.dt=0.02", "sim.sample_interval=0.02")])
+    def test_set_overrides_are_checked_together(self, tmp_path, sets):
+        # Each override alone breaks a sim rule against the other fields'
+        # values, so the overrides are checked only once all are applied,
+        # and they run as the same settings given as a document.
+        sim = {}
+        for item in sets:
+            path, value = item.split("=")
+            sim[path.removeprefix("sim.")] = float(value)
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"preset": "ei80", "sim": sim}))
+        assert run_cli("simulate", "--config", str(doc), "--out",
+                       str(tmp_path / "doc.csv")) == 0
+        flags = [arg for item in sets for arg in ("--set", item)]
+        assert run_cli("simulate", "--preset", "ei80", *flags, "--out",
+                       str(tmp_path / "flags.csv")) == 0
+        for doc_file, flags_file in [("doc.csv", "flags.csv"),
+                                     ("doc.metrics.csv",
+                                      "flags.metrics.csv")]:
+            assert ((tmp_path / doc_file).read_bytes()
+                    == (tmp_path / flags_file).read_bytes())
+
+    def test_step_budget_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = run_cli("simulate", "--preset", "ei80", "--set",
+                       "sim.dt=1e-300", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: sim.t_end must be at most 10000000 steps of dt "
+            "(1e-300), got 60.0\n")
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_1(self, capsys):
@@ -191,6 +227,14 @@ class TestCompliance:
         assert code == 1
         err = capsys.readouterr().err
         assert "sim.t_end" in err and "sim.sample_interval" in err
+
+    def test_step_budget_exits_1(self, capsys):
+        code = run_cli("compliance", "--preset", "ei80", "--controller",
+                       "droop", "--set", "sim.t_end=1e12")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: sim.t_end must be at most 10000000 steps of dt "
+            "(0.005), got 1000000000000.0\n")
 
     def test_threshold_defaults_are_the_dataclass_defaults(self):
         args = build_parser().parse_args(["compliance", "--preset", "ei80"])
@@ -288,7 +332,7 @@ class TestSweep:
         assert run_cli("sweep", "--preset", "ei80", "--param",
                        "system.h_sys", "--values", values, "--out",
                        str(out)) == 1
-        assert (f"--values expects comma-separated numbers, got "
+        assert (f"--values expects comma-separated values, got "
                 f"{values!r}") in capsys.readouterr().err
         assert not out.exists()
 

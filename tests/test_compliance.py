@@ -8,9 +8,8 @@ import gridfreq.compliance
 from gridfreq.compliance import (ComplianceThresholds, StepResponse,
                                  evaluate_compliance, format_report,
                                  run_step_test)
-from gridfreq.engine import SimConfig
-from gridfreq.pv import (ControllerSpec, DroopConfig, InertiaConfig,
-                         PVPlantConfig)
+from gridfreq.scenario import (ControllerSpec, DroopConfig, InertiaConfig,
+                               PVPlantConfig, SimConfig)
 from zoh_reference import reference_step_test
 
 # The horizon of the step tests that take no other: 20 s settles every

@@ -10,14 +10,12 @@ import re
 import pytest
 
 from gridfreq.compliance import ComplianceThresholds
-from gridfreq.engine import SimConfig
-from gridfreq.grid import Contingency, GovernorFleet, SystemParams
 from gridfreq.headroom import HeadroomQuery
-from gridfreq.pv import (ControllerSpec, DroopConfig, InertiaConfig,
-                         PVPlantConfig)
-from gridfreq.scenario import (ScenarioError, preset_scenario,
-                               scenario_from_dict, set_param,
-                               valid_param_paths)
+from gridfreq.scenario import (Contingency, ControllerSpec, DroopConfig,
+                               GovernorFleet, InertiaConfig, PVPlantConfig,
+                               ScenarioError, SimConfig, SystemParams,
+                               preset_scenario, scenario_from_dict,
+                               set_param, valid_param_paths)
 
 # One valid instance per config dataclass, with every optional number set.
 VALID = [

@@ -341,6 +341,13 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="multiple of dt"):
             SimConfig(dt=0.004, sample_interval=0.01)
 
+    def test_t_end_spans_at_most_ten_million_steps(self):
+        assert SimConfig(dt=1e-6, t_end=10.0, sample_interval=1e-6)
+        with pytest.raises(ValueError, match=re.escape(
+                "t_end must be at most 10000000 steps of dt (1e-06), got "
+                "10.000001")):
+            SimConfig(dt=1e-6, t_end=10.000001, sample_interval=1e-6)
+
     def test_sample_interval_not_smaller_than_dt(self):
         with pytest.raises(ValueError):
             SimConfig(dt=0.01, sample_interval=0.005)

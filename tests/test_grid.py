@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from gridfreq.engine import SimConfig, run_simulation
-from gridfreq.grid import (Contingency, GovernorFleet, SystemParams,
-                           steady_state_deviation)
-from gridfreq.pv import ControllerSpec, DroopConfig
-from gridfreq.scenario import (Scenario, ScenarioError, preset_scenario,
+from gridfreq.engine import run_simulation, steady_state_deviation
+from gridfreq.scenario import (Contingency, ControllerSpec, DroopConfig,
+                               GovernorFleet, Scenario, ScenarioError,
+                               SimConfig, SystemParams, preset_scenario,
                                set_param)
 
 

@@ -6,8 +6,7 @@ from gridfreq.compliance import StepResponse, evaluate_compliance
 from gridfreq.engine import Trace, run_simulation
 from gridfreq.headroom import compare_controllers
 from gridfreq.metrics import compute_frequency_metrics
-from gridfreq.pv import CONTROLLER_KINDS
-from gridfreq.scenario import preset_scenario, set_param
+from gridfreq.scenario import CONTROLLER_KINDS, preset_scenario, set_param
 from trace_probes import initial_rocof, max_abs_rocof_within
 
 

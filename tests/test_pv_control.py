@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridfreq.compliance
-from gridfreq.compliance import run_step_test
-from gridfreq.engine import SimConfig, run_simulation
-from gridfreq.pv import (ControllerSpec, DroopConfig, InertiaConfig,
-                         PVPlantConfig, make_controller)
-from gridfreq.scenario import preset_scenario
+from gridfreq.compliance import make_controller, run_step_test
+from gridfreq.engine import run_simulation
+from gridfreq.scenario import (ControllerSpec, DroopConfig, InertiaConfig,
+                               PVPlantConfig, SimConfig, preset_scenario)
 from zoh_reference import reference_controller
 
 

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from gridfreq.csvio import (METRICS_HEADER, TRACE_HEADER, read_metrics_csv,
                             read_trace_csv, write_metrics_csv,
                             write_trace_csv)
-from gridfreq.engine import SimConfig, Trace, run_simulation
-from gridfreq.grid import Contingency, SystemParams
+from gridfreq.engine import Trace, run_simulation
 from gridfreq.headroom import compare_controllers
 from gridfreq.metrics import FrequencyMetrics
-from gridfreq.pv import ControllerSpec, PVPlantConfig, _field_contracts
-from gridfreq.scenario import (_SCHEMA, Scenario, ScenarioError,
+from gridfreq.scenario import (_SCHEMA, Contingency, ControllerSpec,
+                               PVPlantConfig, Scenario, ScenarioError,
+                               SimConfig, SystemParams, _field_contracts,
                                parse_scenario, parse_set_value,
                                preset_scenario, scenario_from_dict,
                                serialize_scenario, set_param,

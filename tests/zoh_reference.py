@@ -2,7 +2,7 @@
 and plant envelope.
 
 An independent oracle for the shipped held-input controller (``gridfreq
-.pv.make_controller``) and the one-loop open-loop test
+.compliance.make_controller``) and the one-loop open-loop test
 (``gridfreq.compliance.run_step_test``): every filter is its own object
 that recomputes its coefficient and re-applies the deadband and recovery
 clamp on each step, and the envelope applies the magnitude clamp and rate
@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 from gridfreq.compliance import ComplianceThresholds, StepResponse
-from gridfreq.engine import SimConfig
-from gridfreq.pv import (ControllerSpec, DroopConfig, InertiaConfig,
-                         PVPlantConfig)
+from gridfreq.scenario import (ControllerSpec, DroopConfig, InertiaConfig,
+                               PVPlantConfig, SimConfig)
 
 
 @dataclass(frozen=True)

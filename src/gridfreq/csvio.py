@@ -53,7 +53,7 @@ def read_trace_csv(source: TextIO) -> Trace:
         line = line.strip()
         if not line:
             continue
-        t, f, r, gov, pv, pvd, pvi = (float(x) for x in line.split(","))
+        t, f, r, gov, pv, pvd, pvi = map(float, line.split(","))
         trace.t.append(t)
         trace.f_hz.append(f)
         trace.rocof_hz_per_s.append(r)

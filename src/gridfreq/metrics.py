@@ -61,7 +61,7 @@ def compute_frequency_metrics(trace: Trace, t_event: float, *,
     tail = trace.f_hz[tail_start:]
     settling = sum(tail) / len(tail)
 
-    max_rocof = max(abs(r) for r in trace.rocof_hz_per_s[start:])
+    max_rocof = max(map(abs, trace.rocof_hz_per_s[start:]))
     return FrequencyMetrics(
         nadir_hz=nadir,
         nadir_time_s=trace.t[idx] - t_event,

@@ -1,8 +1,10 @@
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import engine_reference
 from gridfreq import engine
+from gridfreq.csvio import read_trace_csv, write_trace_csv
 from gridfreq.engine import SimConfig, run_simulation
 from gridfreq.metrics import compute_frequency_metrics
 from gridfreq.scenario import (preset_scenario, scenario_from_dict,
@@ -84,10 +87,22 @@ class TestRunSimulation:
                     - s.contingency.dp - s.system.d_load * df_ss)
         assert abs(residual) < 1e-5
 
-    def test_rocof_column_matches_documented_formula(self):
+    # The preset's window of w = 10 samples over n = 6001, then windows of
+    # w = 500 (more than n), n - 1 and 1 over n = 201 samples. Up to sample
+    # w every window starts at sample 0, so with w >= n - 1 all of them do.
+    @pytest.mark.parametrize("window,t_end,w", [
+        (0.1, 60.0, 10), (5.0, 2.0, 500), (2.0, 2.0, 200), (0.01, 2.0, 1)],
+        ids=["preset", "past_the_samples", "one_sample_short",
+             "one_sample"])
+    def test_rocof_column_matches_documented_formula(self, window, t_end,
+                                                     w):
         s = preset_scenario("ercot80", controller="none")
+        s = set_param(set_param(s, "sim.rocof_window", window),
+                      "sim.t_end", t_end)
         trace = run_simulation(s)
-        w = round(s.sim.rocof_window / s.sim.sample_interval)
+        assert round(s.sim.rocof_window / s.sim.sample_interval) == w
+        assert len(trace) == round(t_end / s.sim.sample_interval) + 1
+        assert len(trace.rocof_hz_per_s) == len(trace)
         assert trace.rocof_hz_per_s[0] == 0.0
         for k in range(1, len(trace.t)):
             j = max(0, k - w)
@@ -333,7 +348,43 @@ class TestStopBelow:
     def test_threshold_above_nominal_keeps_only_the_first_sample(self):
         s = preset_scenario("ei80", controller="droop")
         stopped = run_simulation(s, stop_below_hz=61.0)
-        assert stopped.t == [0.0] and stopped.f_hz == [60.0]
+        assert list(stopped.t) == [0.0] and list(stopped.f_hz) == [60.0]
+
+
+class TestTraceColumns:
+    """Every trace column is an array of C doubles, 8 B per value."""
+
+    @staticmethod
+    def dense():
+        return scenario_from_dict({
+            "preset": "ei80", "controller": {"kind": "combined"},
+            "sim": {"dt": 0.001, "t_end": 4.0, "sample_interval": 0.001}})
+
+    def test_memory_per_sample(self):
+        s = self.dense()
+        run_simulation(s)  # compile the kernel outside the measurement
+        tracemalloc.start()
+        try:
+            trace = run_simulation(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 4001
+        # Seven columns take 56 B per sample, plus the arrays' growth.
+        assert peak / len(trace) <= 80
+
+    def test_every_column_holds_doubles(self):
+        s = self.dense()
+        full = run_simulation(s)
+        prefix = run_simulation(s, stop_below_hz=60.0)
+        assert 1 < len(prefix) < len(full)
+        sink = io.StringIO()
+        write_trace_csv(full, sink)
+        again = read_trace_csv(io.StringIO(sink.getvalue()))
+        assert len(again) == len(full)
+        for trace in (full, prefix, again):
+            for name in TRACE_LISTS:
+                assert getattr(trace, name).typecode == "d", name
 
 
 class TestSimConfigValidation:

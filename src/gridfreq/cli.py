@@ -90,11 +90,12 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     trace = run_simulation(scenario)
+    # A trace the metrics reject is not written either.
+    m = compute_frequency_metrics(trace, scenario.contingency.t_event,
+                                  f0=scenario.system.f0)
     with open(args.out, "w", newline="") as sink:
         write_trace_csv(trace, sink)
     metrics_path = args.metrics_out or _derived_metrics_path(args.out)
-    m = compute_frequency_metrics(trace, scenario.contingency.t_event,
-                                  f0=scenario.system.f0)
     with open(metrics_path, "w", newline="") as sink:
         write_metrics_csv(
             [(scenario.name, scenario.controller.kind, m)], sink)

@@ -31,6 +31,7 @@ engine integrates the same paths as continuous states with RK4.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
@@ -90,15 +91,9 @@ class ComplianceReport:
     config: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "passed": self.passed,
-            "failure_reason": self.failure_reason,
-            "criteria": {name: asdict(c)
-                         for name, c in self.criteria.items()},
-            "config": self.config,
-        }
-        if self.metrics is not None:
-            out["metrics"] = asdict(self.metrics)
+        out = asdict(self)
+        if self.metrics is None:
+            del out["metrics"]
         return out
 
 
@@ -322,7 +317,7 @@ def _step_response_metrics(t: Sequence[float], y: Sequence[float],
 
 def _baseline(t: Sequence[float], y: Sequence[float],
               step_time: float) -> float:
-    pre = [yi for ti, yi in zip(t, y) if ti < step_time - 1e-12]
+    pre = y[:bisect_left(t, step_time - 1e-12)]
     if not pre:
         return y[0]
     return sum(pre) / len(pre)

@@ -19,18 +19,20 @@ run ends at the last whole sample at or before ``t_end``, and an event time
 that is negative, not finite, or would not switch on before that sample is
 rejected.
 
-The step loop is generated from one source template per controller
-variant: droop and inertia path on or off, recovery clamp on or off and
-rate limiter on or off, 12 variants in all. The template holds the stage
-right-hand side once and inlines it four times per step; a variant drops
-the lines of the elements it lacks, including the states of a path that is
-off, which stay exactly 0.0. Each variant is compiled on its first use and
-cached for the life of the process, so importing the package compiles
-none; its code object is named after the variant (for example
-``<gridfreq rk4 combined+clamp+rate>``), which tracebacks and profiles
-show. ``run_simulation`` validates the inputs, hoists the coefficients and
-calls the variant's loop. ``tests/engine_reference.py`` keeps the earlier
-closure form of the loop as the test oracle; the two agree bit for bit.
+The step loop is generated from one source template per controller variant:
+droop and inertia path on or off, recovery clamp on or off and rate limiter
+on or off. The clamp counts only with an inertia path and the rate limiter
+only with a path to limit, so 12 configurations compile into 11 loops. The
+template holds the stage right-hand side once and inlines it four times per
+step; a variant drops the lines of the elements it lacks, including the
+states of a path that is off, which stay exactly 0.0. Each variant is
+compiled on its first use and cached for the life of the process, so
+importing the package compiles none; its code object is named after the
+variant (for example ``<gridfreq rk4 combined+clamp+rate>``), which
+tracebacks and profiles show. ``run_simulation`` validates the inputs,
+hoists the coefficients and calls the variant's loop.
+``tests/engine_reference.py`` keeps the earlier closure form of the loop as
+the test oracle; the two agree bit for bit.
 
 Identical inputs produce bit-identical traces: the loop is plain scalar
 float arithmetic in a fixed order with no threading and no platform-varying
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice, repeat
 from operator import sub, truediv
 from typing import Callable, Iterator
@@ -116,8 +118,12 @@ def run_simulation(scenario: "Scenario", sim: SimConfig | None = None,
     icfg = scenario.controller.inertia
     pv = system.pv
     gov = system.governor
-    kernel = _kernel(scenario.controller.kind, icfg.recovery_clamp,
-                     pv.rate_limit is not None)
+    # The clamp needs an inertia path, the rate limiter a path's command.
+    kind = scenario.controller.kind
+    droop_on, inertia_on = _KIND_PATHS[kind]
+    kernel = _compile_kernel(kind, inertia_on and icfg.recovery_clamp,
+                             (droop_on or inertia_on)
+                             and pv.rate_limit is not None)
     # The governor's discrete post-step clamp: its sign follows the event
     # direction and its magnitude stays within the fleet reserve.
     dp = contingency.dp
@@ -321,19 +327,8 @@ _RECORD = """\
 
 _STATES = ("df", "dpm", "ld", "li", "xw", "p")
 
-#: Compiled step loops by (controller kind, recovery clamp on the inertia
-#: path, rate limiter on), each generated on its first use.
-_KERNELS: dict[tuple[str, bool, bool], Callable[..., tuple]] = {}
 
-
-def _kernel(kind: str, clamp_on: bool, rate_on: bool) -> Callable[..., tuple]:
-    key = (kind, clamp_on and _KIND_PATHS[kind][1], rate_on)
-    kernel = _KERNELS.get(key)
-    if kernel is None:
-        kernel = _KERNELS[key] = _compile_kernel(*key)
-    return kernel
-
-
+@cache
 def _compile_kernel(kind: str, clamp_on: bool,
                     rate_on: bool) -> Callable[..., tuple]:
     """Generate and compile the step loop of one variant."""

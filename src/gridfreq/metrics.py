@@ -9,6 +9,7 @@ step-response grading is the compliance test's.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,9 +43,9 @@ def compute_frequency_metrics(trace: Trace, t_event: float, *,
             f"trace spans {trace.t[-1] - trace.t[0]:.3f} s, shorter than "
             f"the settling window ({SETTLING_WINDOW} s)"
         )
-    start = _first_index_at_or_after(trace.t, t_event)
-    if start >= len(trace.t):
+    if not trace.t[-1] >= t_event - 1e-12:  # a NaN t_event fails too
         raise ValueError("trace ends before t_event")
+    start = _first_index_at_or_after(trace.t, t_event)
 
     post_f = trace.f_hz[start:]
     lo = min(post_f)
@@ -71,7 +72,5 @@ def compute_frequency_metrics(trace: Trace, t_event: float, *,
 
 
 def _first_index_at_or_after(t: Sequence[float], value: float) -> int:
-    for i, ti in enumerate(t):
-        if ti >= value - 1e-12:
-            return i
-    return len(t)
+    # t ascends, so the first sample at or after value is a bisection.
+    return bisect_left(t, value - 1e-12)

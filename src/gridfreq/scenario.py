@@ -224,8 +224,8 @@ class Contingency:
 
 # The most steps of dt that t_end may span. It bounds a run's time and
 # memory, so every run ends: a trace sampled at every step holds about
-# 0.56 GB (seven columns of 8 B per sample), and the step test about
-# 32 B per step (one Python float command).
+# 0.56 GB (seven columns of 8 B per sample), and the step test a traced
+# peak of about 96 B per step (its float lists of commands, t and y).
 _MAX_STEPS = 10**7
 
 
@@ -353,7 +353,6 @@ def parse_scenario(text: str) -> Scenario:
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     """Build a scenario from a parsed document merged over its preset's."""
     doc = dict(doc)
-    name = doc.pop("name", None)
     preset = doc.pop("preset", None)
     if preset is not None:
         preset = str(preset)
@@ -363,21 +362,9 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                 f"{', '.join(sorted(_PRESETS))}"
             )
         doc = _merge(_PRESETS[preset], doc)
-    if name is None:
-        name = "scenario" if preset is None else preset
-
-    unknown = set(doc) - set(_SCHEMA)
-    if unknown:
-        raise ScenarioError(
-            f"unknown key(s) {', '.join(sorted(unknown))}; expected "
-            f"{', '.join(sorted(_SCHEMA))} (plus name, preset)"
-        )
-    sections = {key: _build(cls, doc.get(key, {}), key)
-                for key, cls in _SCHEMA.items()}
-    try:
-        return Scenario(name=name, **sections)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    if doc.get("name") is None:
+        doc["name"] = "scenario" if preset is None else preset
+    return _build(Scenario, doc, "")
 
 
 def _merge(base: dict[str, Any], doc: dict[str, Any]) -> dict[str, Any]:
@@ -391,11 +378,13 @@ def _merge(base: dict[str, Any], doc: dict[str, Any]) -> dict[str, Any]:
     return merged
 
 
-def _build(cls: type, doc: Any, path: str):
-    """Construct dataclass ``cls`` from the fields of section ``doc`` at
-    dotted ``path`` and the class defaults, building each nested section
-    given as an object the same way. A ``doc`` that is not an object is
-    returned as it is, for the parent's check to reject by name."""
+def _build(cls: type, doc: Any, prefix: str):
+    """Construct dataclass ``cls`` from the fields of section ``doc`` and
+    the class defaults, building each nested section given as an object
+    the same way; ``prefix`` is the section's dotted path plus a dot
+    (``""`` at the document root), and every rejected key is named by its
+    full path. A ``doc`` that is not an object is returned as it is, for
+    the parent's check to reject by name."""
     if not isinstance(doc, dict):
         return doc
     contracts = _field_contracts(cls)
@@ -403,14 +392,15 @@ def _build(cls: type, doc: Any, path: str):
     unknown = [key for key in doc if key not in names]
     if unknown:
         raise ScenarioError(
-            f"unknown key {path}.{unknown[0]}; valid keys: "
+            f"unknown key {prefix}{unknown[0]}; valid keys: "
             f"{', '.join(sorted(names))}"
         )
     values = dict(doc)
     for name, kind, *_ in contracts:
         if dataclasses.is_dataclass(kind):
-            values[name] = _build(kind, doc.get(name, {}), f"{path}.{name}")
-    missing = [f"{path}.{f.name}" for f in dataclasses.fields(cls)
+            values[name] = _build(kind, doc.get(name, {}),
+                                  f"{prefix}{name}.")
+    missing = [prefix + f.name for f in dataclasses.fields(cls)
                if f.default is dataclasses.MISSING
                and f.default_factory is dataclasses.MISSING
                and f.name not in values]
@@ -420,7 +410,7 @@ def _build(cls: type, doc: Any, path: str):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ScenarioError(f"{path}.{exc}") from None
+        raise ScenarioError(prefix + str(exc)) from None
 
 
 def serialize_scenario(scenario: Scenario) -> str:

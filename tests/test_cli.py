@@ -61,6 +61,17 @@ class TestSimulate:
         assert "contingency.t_event" in err and "sim.t_end" in err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_trace_shorter_than_settling_window_writes_nothing(
+            self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli("simulate", "--preset", "ei80", "--set",
+                       "sim.t_end=3", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: trace spans 3.000 s, shorter than the settling window "
+            "(5.0 s)\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_across_runs(self, tmp_path, fast_args):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +38,21 @@ class TestRunStepTest:
         # -0.002 pu step, 5% droop: 0.002/0.05 = 0.04 plant pu
         assert resp.y[-1] == pytest.approx(0.04, abs=1e-9)
         assert max(resp.y) <= 0.04 + 1e-9  # first-order cascade: no overshoot
+
+    def test_memory_per_step(self):
+        # Sampled at every step, the float lists of commands, t and y
+        # peak at about 96 B per step; 128 B bounds it.
+        sim = SimConfig(dt=0.001, sample_interval=0.001, t_end=10.0)
+        plant = PVPlantConfig(headroom=0.1)
+        run_step_test(droop_spec(), plant, sim=sim)
+        tracemalloc.start()
+        try:
+            resp = run_step_test(droop_spec(), plant, sim=sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(resp.t) == 10001
+        assert peak / 10000 <= 128
 
     def test_droop_report_passes_defaults(self):
         resp = run_step_test(droop_spec(), PVPlantConfig(headroom=0.1),

@@ -16,8 +16,8 @@ from gridfreq import engine
 from gridfreq.csvio import read_trace_csv, write_trace_csv
 from gridfreq.engine import SimConfig, run_simulation
 from gridfreq.metrics import compute_frequency_metrics
-from gridfreq.scenario import (preset_scenario, scenario_from_dict,
-                               set_param)
+from gridfreq.scenario import (Scenario, preset_scenario,
+                               scenario_from_dict, set_param)
 from zoh_reference import CombinedController, DroopController, PVPlant
 
 
@@ -460,8 +460,9 @@ class TestStepGrid:
                 s, sim=SimConfig(t_end=2.035, sample_interval=0.04))
 
 
-# The 12 generated loops: (kind, recovery clamp, rate limiter on). The
-# clamp acts on the inertia path only, so it makes no variant without it.
+# The 12 configurations: (kind, recovery clamp, rate limiter on). The
+# clamp acts on the inertia path only, so it makes no variant without it,
+# and kind none runs one loop with or without the rate limiter: 11 loops.
 VARIANTS = [(kind, clamp, rate)
             for kind in ("none", "droop", "inertia", "combined")
             for clamp in ((False, True) if kind in ("inertia", "combined")
@@ -533,6 +534,24 @@ class TestReferenceDifferential:
             engine_reference.run_simulation, s, None)
 
 
+def loop_name(scenario: Scenario, sim: SimConfig) -> str:
+    """The code object name of the generated loop ``scenario`` runs."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "kernel":
+            names.append(frame.f_code.co_filename)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run_simulation(scenario, sim=sim)
+    finally:
+        sys.setprofile(previous)
+    name, = names
+    return name
+
+
 class TestKernelCache:
     def test_import_generates_no_loop(self):
         src = str(Path(engine.__file__).resolve().parents[1])
@@ -540,15 +559,15 @@ class TestKernelCache:
         env["PYTHONPATH"] = os.pathsep.join(
             [src, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src])
         code = "import gridfreq, gridfreq.engine; " \
-               "print(len(gridfreq.engine._KERNELS))"
+               "print(gridfreq.engine._compile_kernel.cache_info().currsize)"
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "0"
 
-    def test_every_variant_compiles_once_under_its_own_name(self,
-                                                            monkeypatch):
-        monkeypatch.setattr(engine, "_KERNELS", {})
+    def test_every_variant_compiles_once_under_its_own_name(self):
+        engine._compile_kernel.cache_clear()
         sim = SimConfig(t_end=2.0)
+        names = {}
         for kind in ("none", "droop", "inertia", "combined"):
             for rate_limit in (None, 0.5):
                 for clamp in (False, True):
@@ -556,11 +575,14 @@ class TestKernelCache:
                     s = set_param(s, "system.pv.rate_limit", rate_limit)
                     s = set_param(s, "controller.inertia.recovery_clamp",
                                   clamp)
-                    run_simulation(s, sim=sim)
-                    run_simulation(s, sim=sim)
-        kernels = engine._KERNELS
-        assert len(kernels) == 12
-        names = {k.__code__.co_filename for k in kernels.values()}
-        assert len(names) == 12
+                    key = (kind, rate_limit, clamp)
+                    names[key] = loop_name(s, sim)
+                    assert loop_name(s, sim) == names[key]
+        info = engine._compile_kernel.cache_info()
+        assert info.currsize == info.misses == 11
+        assert len(set(names.values())) == 11
+        # kind none has no command to limit: its rate-limited runs share
+        # the plain loop
+        assert names["none", 0.5, False] == "<gridfreq rk4 none>"
         assert {"<gridfreq rk4 none>", "<gridfreq rk4 droop+rate>",
-                "<gridfreq rk4 combined+clamp+rate>"} <= names
+                "<gridfreq rk4 combined+clamp+rate>"} <= set(names.values())

@@ -1,11 +1,15 @@
 import math
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfreq.compliance import StepResponse, evaluate_compliance
 from gridfreq.engine import Trace, run_simulation
 from gridfreq.headroom import compare_controllers
-from gridfreq.metrics import compute_frequency_metrics
+from gridfreq.metrics import (_first_index_at_or_after,
+                              compute_frequency_metrics)
 from gridfreq.scenario import CONTROLLER_KINDS, preset_scenario, set_param
 from trace_probes import initial_rocof, max_abs_rocof_within
 
@@ -78,8 +82,22 @@ class TestFrequencyMetrics:
         trace = make_trace([60.0] * 1001)
         with pytest.raises(ValueError, match="t_event"):
             compute_frequency_metrics(trace, t_event=20.0, f0=60.0)
+        with pytest.raises(ValueError, match="t_event"):
+            compute_frequency_metrics(trace, t_event=math.nan, f0=60.0)
         with pytest.raises(ValueError):
             initial_rocof(trace, t_event=20.0)
+        m = compute_frequency_metrics(trace, t_event=trace.t[-1], f0=60.0)
+        assert m.nadir_time_s == 0.0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(t=st.lists(st.floats(-10.0, 10.0), max_size=20).map(sorted),
+           value=st.floats(-11.0, 11.0), near=st.booleans())
+    def test_first_sample_search_equals_linear_scan(self, t, value, near):
+        if near and t:  # a value within the 1e-12 tolerance of a sample
+            value = t[len(t) // 2] + 1e-12
+        linear = next((i for i, ti in enumerate(t) if ti >= value - 1e-12),
+                      len(t))
+        assert _first_index_at_or_after(array("d", t), value) == linear
 
     def test_settling_never_below_nadir_for_underfrequency(self):
         trace = make_trace([60.0] * 100 + [59.5] * 200 + [59.8] * 701)

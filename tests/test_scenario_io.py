@@ -69,7 +69,9 @@ class TestParseScenario:
                            ' "contingency": {"dp": 0.01}}')
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown key"):
+        with pytest.raises(ScenarioError, match=(
+                "^unknown key grid; valid keys: contingency, controller, "
+                "name, sim, system$")):
             parse_scenario('{"preset": "ei80", "grid": {}}')
 
     def test_unknown_nested_key_rejected(self):

@@ -26,6 +26,10 @@ output to the system base.
 washout use the exact zero-order-hold update, so a held input reproduces
 the continuous response at the sample instants for any step size; the
 engine integrates the same paths as continuous states with RK4.
+``run_step_test`` holds the controller's commands at most 256 at a time,
+so their memory does not grow with the horizon, and stops iterating where
+the controller and the plant reach an exact fixed point: every later
+sample repeats the last one bit for bit, so it is filled in.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ from typing import Any, Sequence
 
 from .scenario import (_KIND_PATHS, ControllerSpec, Positive, PVPlantConfig,
                        SimConfig, check_fields)
+
+# The most commands the step test holds at once; it bounds their memory and
+# is the grain at which a settled response stops being iterated.
+_CHUNK = 256
 
 REACTION_FRACTION = 0.02
 RISE_FRACTIONS = (0.1, 0.9)
@@ -103,7 +111,9 @@ def make_controller(spec: ControllerSpec, dt: float):
 
     Each call holds ``delta_f`` for ``n`` steps and returns the ``n``
     sampled post-update commands in plant pu; the deadbands and the
-    recovery-clamp direction are evaluated once per call. Droop: deadband
+    recovery-clamp direction are evaluated once per call, and a call whose
+    first step leaves the filter states as they were returns that step's
+    command ``n`` times without updating them again. Droop: deadband
     -> lag -> -1/r, so a steady deviation df beyond the band settles to
     -(df -/+ band)/r. Inertia: deadband -> lag -> gain k -> washout (output
     (u - x)/T), which settles to -k * d(delta_f)/dt on a ramp. With
@@ -131,22 +141,34 @@ def make_controller(spec: ControllerSpec, dt: float):
         # the recovery clamp zeroes an inertia command of delta_f's sign;
         # side is 0.0 when it is off or delta_f is zero
         side = float((delta_f > 0.0) - (delta_f < 0.0)) if clamp else 0.0
+        start = (y_d, y_i, x_w)
         cmds = []
-        for _ in range(n):
-            cmd = 0.0
-            if droop_on:
-                y_d += (u_d - y_d) * a_d
-                cmd = -y_d / r
-            if inertia_on:
-                y_i += (u_i - y_i) * a_i
-                u_w = k * y_i
-                x_w = u_w + (x_w - u_w) * e_w
-                c_i = -((u_w - x_w) / t_w)
-                if c_i * side > 0.0:
-                    c_i = 0.0
-                # 0.0 + c_i would turn a -0.0 command into 0.0
-                cmd = cmd + c_i if droop_on else c_i
-            cmds.append(cmd)
+        # one step, then the other n - 1 unless that step was a fixed point
+        for m in (min(n, 1), n - 1):
+            for _ in range(m):
+                cmd = 0.0
+                if droop_on:
+                    y_d += (u_d - y_d) * a_d
+                    cmd = -y_d / r
+                if inertia_on:
+                    y_i += (u_i - y_i) * a_i
+                    u_w = k * y_i
+                    x_w = u_w + (x_w - u_w) * e_w
+                    c_i = -((u_w - x_w) / t_w)
+                    if c_i * side > 0.0:
+                        c_i = 0.0
+                    # 0.0 + c_i would turn a -0.0 command into 0.0
+                    cmd = cmd + c_i if droop_on else c_i
+                cmds.append(cmd)
+            # A command depends only on the state after its update, so a
+            # step that leaves the state as it was repeats on every later
+            # step. == is exact here: y_d and y_i never hold -0.0 (each
+            # starts at +0.0, and x + d is -0.0 only when both terms are),
+            # and a zero x_w's sign never reaches the next state, since x_w
+            # enters as x_w - u_w and a zero u_w then gives +0.0.
+            if (y_d, y_i, x_w) == start:
+                return cmds * n
+            start = None
         return cmds
 
     return hold
@@ -170,10 +192,13 @@ def run_step_test(controller_spec: ControllerSpec,
     plant output (plant pu, before system-base scaling) over the horizon
     of ``sim``, whose step size and ``t_end`` it uses.
 
-    The controller holds 0.0 up to the step and -step_magnitude after it;
-    one zero-order-hold loop then clamps each command into [down_limit,
-    up_limit], limits its change to +/- rate_limit * dt when a rate limit
-    is set, and advances the inverter lag. The step grid is
+    The controller holds 0.0 up to the step and -step_magnitude after it,
+    at most ``_CHUNK`` steps per call; one zero-order-hold loop then clamps
+    each command into [down_limit, up_limit], limits its change to
+    +/- rate_limit * dt when a rate limit is set, and advances the
+    inverter lag. A call whose commands all enter the plant as one value,
+    where one step would leave the plant state as it was, is not iterated:
+    each of its samples repeats the last one. The step grid is
     ``SimConfig.step_grid``'s: the step switches on at the first step
     boundary at or after ``step_time``, and must do so before the last
     whole sample at or before ``sim.t_end``; a negative or non-finite
@@ -199,30 +224,60 @@ def run_step_test(controller_spec: ControllerSpec,
     a_inv = -math.expm1(-dt / plant_cfg.t_inv)
     df_step = -thr.step_magnitude
 
-    prev = 0.0
-    y = 0.0
+    prev = y = 0.0
     t_list = [0.0]
     y_list = [0.0]
-    # Each if/elif clamp equals min(max(cmd, lower), upper), zero signs
-    # included, because its lower bound is never above its upper one.
-    cmds = hold(0.0, k_step) + hold(df_step, n_steps - k_step)
-    for k, cmd in enumerate(cmds, 1):
-        if cmd < lo:
-            cmd = lo
-        elif cmd > hi:
-            cmd = hi
-        if rate_limit is not None:
-            if cmd < prev - max_delta:
-                cmd = prev - max_delta
-            elif cmd > prev + max_delta:
-                cmd = prev + max_delta
-            prev = cmd
-        y += (cmd - y) * a_inv
-        if k % stride == 0:
-            t_list.append(k * dt)
-            y_list.append(y)
+    k = 0
+    for delta_f, end in ((0.0, k_step), (df_step, n_steps)):
+        while k < end:
+            m = min(_CHUNK, end - k)
+            cmds = hold(delta_f, m)
+            c = _plant_input(cmds, lo, hi)
+            if (c is not None and (rate_limit is None or c == prev)
+                    and y + (c - y) * a_inv == y):
+                # Every step of the chunk leaves (prev, y) as they are. y
+                # is never -0.0, so a mix of zero signs in cmds cannot
+                # change it.
+                ks = range(k + stride - k % stride, k + m + 1, stride)
+                t_list += map(dt.__mul__, ks)
+                y_list += [y] * len(ks)
+                k += m
+                continue
+            # Each if/elif clamp equals min(max(cmd, lower), upper), zero
+            # signs included, because its lower bound is never above its
+            # upper one.
+            for k, cmd in enumerate(cmds, k + 1):
+                if cmd < lo:
+                    cmd = lo
+                elif cmd > hi:
+                    cmd = hi
+                if rate_limit is not None:
+                    if cmd < prev - max_delta:
+                        cmd = prev - max_delta
+                    elif cmd > prev + max_delta:
+                        cmd = prev + max_delta
+                    prev = cmd
+                y += (cmd - y) * a_inv
+                if k % stride == 0:
+                    t_list.append(k * dt)
+                    y_list.append(y)
     return StepResponse(t=t_list, y=y_list, step_time=step_time,
                         step_magnitude=thr.step_magnitude)
+
+
+def _plant_input(cmds: list[float], lo: float, hi: float) -> float | None:
+    """The one value that every command in ``cmds`` enters the plant as
+    once clamped into [lo, hi], or None when they enter as more than one.
+    The ends are checked first, so most moving chunks skip min and max."""
+    first = cmds[0]
+    last = cmds[-1]
+    if first >= hi <= last:
+        return hi if min(cmds) >= hi else None
+    if first <= lo >= last:
+        return lo if max(cmds) <= lo else None
+    if first == last and min(cmds) == max(cmds):
+        return first
+    return None
 
 
 def evaluate_compliance(response: StepResponse,

@@ -225,7 +225,8 @@ class Contingency:
 # The most steps of dt that t_end may span. It bounds a run's time and
 # memory, so every run ends: a trace sampled at every step holds about
 # 0.56 GB (seven columns of 8 B per sample), and the step test a traced
-# peak of about 96 B per step (its float lists of commands, t and y).
+# peak of about 41 to 56 B per step (its float lists of t and y; it holds
+# its commands 256 at a time).
 _MAX_STEPS = 10**7
 
 

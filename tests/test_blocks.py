@@ -8,6 +8,7 @@ by a stub controller.
 """
 
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -47,8 +48,10 @@ def envelope(monkeypatch, cmds, headroom, rate_limit=None, dt=0.1):
     so fast that its update coefficient is exactly 1 delivers each
     enveloped command as the next sample."""
     def stub(spec, step):
+        requests = iter(cmds)
+
         def hold(delta_f, n):
-            return [0.0] * n if delta_f == 0.0 else list(cmds[:n])
+            return [0.0] * n if delta_f == 0.0 else list(islice(requests, n))
         return hold
 
     monkeypatch.setattr(compliance, "make_controller", stub)
@@ -192,6 +195,21 @@ class TestLimitSpec:
     def test_magnitude_clamp(self, monkeypatch, cmd, expected):
         # headroom 0.1 of available power 1: the envelope is [-0.9, 0.1]
         assert envelope(monkeypatch, [cmd], headroom=0.1) == [expected]
+
+    @pytest.mark.parametrize("held, delivered, dip",
+                             [(0.0, 0.0, 0.0625), (0.25, 0.1, 0.0625),
+                              (-1.0, -0.9, -0.5)])
+    def test_requests_across_held_chunks(self, monkeypatch, held,
+                                         delivered, dip):
+        # 600 requests reach the envelope in three calls of the stub after
+        # the step. The last call starts where the output has settled and
+        # ends on the same envelope value, with one request inside the
+        # band between. Neighbouring samples are 0.0 or within a factor
+        # of 2 of each other, so their differences, and the samples, are
+        # exact.
+        assert envelope(monkeypatch, [held] * 552 + [dip]
+                        + [held] * 47, headroom=0.1) == (
+            [delivered] * 552 + [dip] + [delivered] * 47)
 
     def test_rate_limit(self, monkeypatch):
         y, = envelope(monkeypatch, [0.2], headroom=0.5, rate_limit=0.5,

@@ -11,7 +11,7 @@ from gridfreq.compliance import (ComplianceThresholds, StepResponse,
                                  run_step_test)
 from gridfreq.scenario import (ControllerSpec, DroopConfig, InertiaConfig,
                                PVPlantConfig, SimConfig)
-from zoh_reference import reference_step_test
+from zoh_reference import reference_step_test, signed
 
 # The horizon of the step tests that take no other: 20 s settles every
 # default droop response.
@@ -40,19 +40,32 @@ class TestRunStepTest:
         assert max(resp.y) <= 0.04 + 1e-9  # first-order cascade: no overshoot
 
     def test_memory_per_step(self):
-        # Sampled at every step, the float lists of commands, t and y
-        # peak at about 96 B per step; 128 B bounds it.
+        # Sampled at every step, the float lists of t and y peak at about
+        # 56 B per step here (commands are held 256 at a time, and the
+        # settled tail shares one y object); 128 B bounds it.
         sim = SimConfig(dt=0.001, sample_interval=0.001, t_end=10.0)
+        assert self.traced_peak(droop_spec(), sim, 10001) / 10000 <= 128
+
+    def test_memory_at_a_coarse_stride_is_the_samples_only(self):
+        # A 5 s lag cannot settle exactly in 100 s at dt 0.001, so every
+        # step is iterated; with 1001 samples kept, about 0.8 B per step
+        # remains (40 B when all the commands were held at once).
+        sim = SimConfig(dt=0.001, sample_interval=0.1, t_end=100.0)
+        assert self.traced_peak(droop_spec(t_lag=5.0), sim, 1001) / 1e5 <= 2
+
+    @staticmethod
+    def traced_peak(spec, sim, n_samples):
+        """The tracemalloc peak of a step test run after a warm-up run."""
         plant = PVPlantConfig(headroom=0.1)
-        run_step_test(droop_spec(), plant, sim=sim)
+        run_step_test(spec, plant, sim=sim)
         tracemalloc.start()
         try:
-            resp = run_step_test(droop_spec(), plant, sim=sim)
+            resp = run_step_test(spec, plant, sim=sim)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(resp.t) == 10001
-        assert peak / 10000 <= 128
+        assert len(resp.t) == n_samples
+        return peak
 
     def test_droop_report_passes_defaults(self):
         resp = run_step_test(droop_spec(), PVPlantConfig(headroom=0.1),
@@ -180,11 +193,14 @@ def step_cases(draw):
 _COMBINED = ControllerSpec(
     kind="combined", droop=DroopConfig(deadband=0.001),
     inertia=InertiaConfig(deadband=0.0025, recovery_clamp=True))
+_FAST = ControllerSpec(
+    kind="combined", droop=DroopConfig(t_lag=0.01),
+    inertia=InertiaConfig(t_lag=0.01, t_washout=0.02))
 
 
 class TestOracleDifferential:
     """The one-loop test equals the block-per-object reference bit for
-    bit: same float operations in the same order."""
+    bit, zero signs included: same float operations in the same order."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(step_cases())
@@ -194,7 +210,8 @@ class TestOracleDifferential:
               0.9973))
     @example((ControllerSpec(kind="inertia"), PVPlantConfig(),
               ComplianceThresholds(), SimConfig(t_end=3.0), 1.0))
-    # no headroom: the up limit is 0.0 and every upward command is cut
+    # no headroom: the up limit is 0.0 and every upward command is cut;
+    # its 800 steps span 4 chunks
     @example((_COMBINED, PVPlantConfig(headroom=0.0),
               ComplianceThresholds(), SimConfig(t_end=4.0), 1.0))
     # a slow rate limit: 0.04 pu at 0.01 pu/s binds for 4 of the 4.5 s
@@ -211,6 +228,26 @@ class TestOracleDifferential:
               ComplianceThresholds(), SimConfig(dt=0.001, t_end=0.001,
                                                 sample_interval=0.001),
               0.0))
+    # The examples below span at least 3 chunks of held commands and reach
+    # the settled tail that run_step_test fills in without iterating.
+    # Fast lags: the controller reaches its fixed point in about a second.
+    @example((_FAST, PVPlantConfig(t_inv=0.01), ComplianceThresholds(),
+              SimConfig(dt=0.001, t_end=10.0, sample_interval=0.001), 1.0))
+    # 0.2 pu demanded of 0.01 headroom: the commands are past the up limit
+    # within 0.1 s while the 2 s droop lag moves to the end.
+    @example((droop_spec(r=0.01, t_lag=2.0),
+              PVPlantConfig(headroom=0.01, t_inv=0.01),
+              ComplianceThresholds(), SimConfig(t_end=10.0), 1.0))
+    # 0.04 pu at 0.02 pu/s: the rate limit binds for 2 s, then settles
+    @example((droop_spec(t_lag=0.05), PVPlantConfig(rate_limit=0.02),
+              ComplianceThresholds(), SimConfig(t_end=8.0), 0.5))
+    # strides that do not divide the chunk, and a step at t = 0
+    @example((_FAST, PVPlantConfig(t_inv=0.01), ComplianceThresholds(),
+              SimConfig(dt=0.001, t_end=3.0, sample_interval=0.003), 0.0))
+    @example((_FAST, PVPlantConfig(t_inv=0.01, rate_limit=0.5),
+              ComplianceThresholds(), SimConfig(dt=0.001, t_end=3.5,
+                                                sample_interval=0.007),
+              0.0))
     def test_equals_reference(self, case):
         spec, plant, thresholds, sim, step_time = case
         want = reference_step_test(spec, plant, thresholds, sim=sim,
@@ -224,8 +261,8 @@ class TestOracleDifferential:
             return
         got = run_step_test(spec, plant, thresholds, sim=sim,
                             step_time=step_time)
-        assert got.t == want.t
-        assert got.y == want.y
+        assert signed(got.t) == signed(want.t)
+        assert signed(got.y) == signed(want.y)
         assert (got.step_time, got.step_magnitude) == (
             want.step_time, want.step_magnitude)
 

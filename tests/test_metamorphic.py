@@ -1,8 +1,8 @@
 """Bit-exact metamorphic relations of the engine and the step test.
 
 IEEE-754 round-to-nearest commutes with negation and with scaling by a
-power of two, so these relations hold bit for bit and need no copy of the
-physics to check them:
+power of two where nothing underflows, so these relations hold bit for
+bit and need no copy of the physics to check them:
 
 * **Sign.** At headroom exactly 0.5 the plant envelope is symmetric, and
   dp -> -dp negates the four power columns and maps (cmd_min, cmd_max) to
@@ -30,7 +30,7 @@ import copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfreq.compliance import ComplianceThresholds, run_step_test
+from gridfreq.compliance import _CHUNK, ComplianceThresholds, run_step_test
 from gridfreq.engine import run_simulation
 from gridfreq.scenario import CONTROLLER_KINDS, scenario_from_dict
 
@@ -52,17 +52,26 @@ TIME = {"sim.dt": 2.0, "sim.t_end": 2.0, "sim.sample_interval": 2.0,
 relation = settings(derandomize=True, max_examples=40, deadline=None)
 
 
+def floats(lo: float, hi: float):
+    """Floats in [lo, hi] but none in (0, 1e-9): so near zero, a product
+    such as k * y can underflow to a subnormal in one run of a relation
+    and not in the other, and scaling a subnormal is not exact."""
+    return st.floats(lo, hi).filter(lambda v: v == 0.0 or v >= 1e-9)
+
+
 @st.composite
-def documents(draw, kinds=CONTROLLER_KINDS):
-    """A full scenario document: every field drawn, short horizon, every
+def documents(draw, kinds=CONTROLLER_KINDS, min_steps=0, max_time=2.0):
+    """A full scenario document: every field drawn, a horizon of at least
+    ``min_steps`` steps and at most about ``max_time`` seconds, every
     limit able to bind, the event before the last sample."""
     dt = draw(st.sampled_from((0.0025, 0.005, 0.01)))
     stride = draw(st.integers(1, 4))
     t_event = draw(st.floats(0.0, 0.5))
-    n_samples = draw(st.integers(int((t_event + 2 * dt) / (stride * dt))
-                                 + 3, int(2.0 / (stride * dt)) + 3))
+    n_samples = draw(st.integers(
+        max(int((t_event + 2 * dt) / (stride * dt)) + 3,
+            -(-min_steps // stride)),
+        int(max_time / (stride * dt)) + 3))
     sign = draw(st.sampled_from((1.0, -1.0)))
-    floats = st.floats
     return {
         "system": {
             "h_sys": draw(floats(0.5, 8.0)),
@@ -198,10 +207,15 @@ class TestCommandRangeBound:
         assert max(requests) <= c_pv * trace.cmd_max + tol
 
 
+# More than two chunks of held commands, and long enough for some
+# responses to settle exactly and be filled in.
+STEP_TESTS = documents(CONTROLLER_KINDS[1:], min_steps=2 * _CHUNK + 1,
+                       max_time=20.0)
+
+
 class TestStepTestRelations:
     @relation
-    @given(doc=documents(CONTROLLER_KINDS[1:]),
-           step_magnitude=st.floats(0.0005, 0.01))
+    @given(doc=STEP_TESTS, step_magnitude=st.floats(0.0005, 0.01))
     def test_amplitude_times_four(self, doc, step_magnitude):
         base = step_response(doc, step_magnitude)
         big = step_response(scaled(doc, AMPLITUDE), 4.0 * step_magnitude)
@@ -209,8 +223,7 @@ class TestStepTestRelations:
         assert big.t == base.t
 
     @relation
-    @given(doc=documents(CONTROLLER_KINDS[1:]),
-           step_magnitude=st.floats(0.0005, 0.01))
+    @given(doc=STEP_TESTS, step_magnitude=st.floats(0.0005, 0.01))
     def test_time_times_two(self, doc, step_magnitude):
         base = step_response(doc, step_magnitude)
         slow = step_response(scaled(doc, TIME), step_magnitude)

@@ -9,7 +9,7 @@ from gridfreq.compliance import make_controller, run_step_test
 from gridfreq.engine import run_simulation
 from gridfreq.scenario import (ControllerSpec, DroopConfig, InertiaConfig,
                                PVPlantConfig, SimConfig, preset_scenario)
-from zoh_reference import reference_controller
+from zoh_reference import reference_controller, signed
 
 
 def per_step(hold):
@@ -180,11 +180,6 @@ DTS = st.sampled_from([0.001, 0.005, 0.02])
 DEVIATIONS = st.one_of(st.floats(-0.01, 0.01), st.sampled_from([0.0, -0.0]))
 
 
-def signed(values):
-    """``values`` with each zero's sign made visible to ``==``."""
-    return [(v, math.copysign(1.0, v)) for v in values]
-
-
 class TestReferenceDifferential:
     """``hold`` equals the block-per-object reference bit for bit on any
     deviation sequence, including ones that trip the recovery clamp (an
@@ -222,6 +217,18 @@ class TestReferenceDifferential:
         whole = make_controller(spec, dt)
         assert signed(split(df, m) + split(df, n)) == signed(
             whole(df, m + n))
+
+    def test_fixed_point_repeats_one_command_object(self):
+        # Once a step leaves the filter states as they were, hold stops
+        # updating them and repeats that step's command.
+        spec = ControllerSpec(kind="combined", droop=DroopConfig(t_lag=0.01),
+                              inertia=InertiaConfig(t_lag=0.01,
+                                                    t_washout=0.02))
+        hold = make_controller(spec, 0.001)
+        hold(-0.002, 10000)
+        cmds = hold(-0.002, 5)
+        assert len(cmds) == 5
+        assert all(cmd is cmds[0] for cmd in cmds)
 
 
 def stub_controller(monkeypatch, cmd):

@@ -9,8 +9,9 @@ clamp on each step, and the envelope applies the magnitude clamp and rate
 limit through ``LimitSpec``'s ``min``/``max``. The step grid (the
 step count, the sample stride and the first step at or after
 ``step_time``) is ``SimConfig.step_grid``'s, as in the shipped loop.
-The tests compare the two with ``==``; both keep the same float operation
-order, so they agree bit for bit.
+The tests compare the two with ``==`` on ``signed`` values, so zero signs
+count too; both keep the same float operation order, so they agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from dataclasses import dataclass
 from gridfreq.compliance import ComplianceThresholds, StepResponse
 from gridfreq.scenario import (ControllerSpec, DroopConfig, InertiaConfig,
                                PVPlantConfig, SimConfig)
+
+
+def signed(values):
+    """``values`` with each zero's sign made visible to ``==``."""
+    return [(v, math.copysign(1.0, v)) for v in values]
 
 
 @dataclass(frozen=True)

@@ -163,9 +163,11 @@ def make_controller(spec: ControllerSpec, dt: float):
             # A command depends only on the state after its update, so a
             # step that leaves the state as it was repeats on every later
             # step. == is exact here: y_d and y_i never hold -0.0 (each
-            # starts at +0.0, and x + d is -0.0 only when both terms are),
-            # and a zero x_w's sign never reaches the next state, since x_w
-            # enters as x_w - u_w and a zero u_w then gives +0.0.
+            # starts at +0.0, and x + d is -0.0 only when both terms are).
+            # x_w holds -0.0 only when u_w is -0.0 and (x_w - u_w) * e_w
+            # underflows to -0.0, but either zero x_w gives the same next
+            # x_w: x_w - u_w is -u_w when u_w is not zero, and the next
+            # x_w is +0.0 when it is.
             if (y_d, y_i, x_w) == start:
                 return cmds * n
             start = None

@@ -149,6 +149,8 @@ def _cmd_headroom(args: argparse.Namespace) -> int:
           f"({result.n_runs} simulation runs, {len(result.evaluations)} "
           f"headroom values) for nadir >= "
           f"{args.target:.3f} Hz on {scenario.name}/{controller}")
+    print(f"volume bound {result.volume_bound:.4f} from the h = 0 run; "
+          f"shape margin {result.headroom - result.volume_bound:.4f}")
     return EXIT_OK
 
 

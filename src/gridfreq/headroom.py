@@ -8,11 +8,13 @@ under-frequency load-shedding threshold) by bisection. Monotonicity of
 nadir in headroom is probed at three points first rather than assumed,
 because limiters and recovery clamps could in principle bend the
 response; a failed probe is surfaced as an error instead of silently
-bisecting a non-monotone curve.
+bisecting a non-monotone curve. The volume bound from the h = 0 probe
+predicts where bisection ends, and the sizer tests that bracket first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -58,14 +60,18 @@ class HeadroomQuery:
 class HeadroomResult:
     """The answer plus how it was reached.
 
-    ``n_runs`` counts the simulations actually run. ``evaluations`` maps
-    every headroom whose nadir is known exactly to that nadir, whether it
-    was simulated or reused from a run no envelope limit touched; runs
-    stopped at the target crossing are counted but not recorded.
+    ``n_runs`` counts the simulations actually run. ``volume_bound``, from
+    the h = 0 nadir, is the headroom needed if PV adds only volume (0.0
+    when none is needed), an empirical lower bound on the answer.
+    ``evaluations`` maps every headroom whose nadir is known exactly to that
+    nadir, whether it was simulated or reused from a run no envelope limit
+    touched; runs stopped at the target crossing are counted but not
+    recorded.
     """
 
     headroom: float
     n_runs: int
+    volume_bound: float
     evaluations: dict[float, float] = field(default_factory=dict)
 
 
@@ -75,18 +81,22 @@ def min_headroom_for_nadir(query: HeadroomQuery) -> HeadroomResult:
     Every run is ``query.scenario`` under ``query.controller``, with the
     scenario's own ``sim`` settings and the probed headroom. The nadir
     here is the minimum sampled frequency after the event, the
-    load-shedding meaning of the target. Two shortcuts leave every answer
-    bit-identical to plain bisection over full runs:
+    load-shedding meaning of the target. ``bisect_min_headroom`` searches,
+    hinted by the volume bound: at h = 0 the grid rides through
+    dp·(f0 − target)/(f0 − nadir₀) of the event at the target, and PV must
+    cover the rest. Two shortcuts leave every answer unchanged:
 
     * A run whose requested commands stayed inside its own envelope never
       touched the headroom limits, so every headroom whose envelope also
       contains that command range gives the same trace; its nadir is reused
       without simulating.
-    * Where only the pass/fail bit is needed, a run stops at the first
-      sample below the target.
+    * Where only the pass/fail bit is needed (every probe but h_max,
+      h_max/2 and 0), a run stops at the first sample below the target.
     """
     scenario = set_param(query.scenario, "controller.kind", query.controller)
     target = query.target_nadir_hz
+    f0, plant = scenario.system.f0, scenario.system.pv
+    dp_pv = scenario.contingency.dp / (plant.c_pv * plant.available_power)
     evaluations: dict[float, float] = {}
     # (cmd_min, cmd_max, nadir) of completed runs inside their envelope.
     free_runs: list[tuple[float, float, float]] = []
@@ -116,59 +126,98 @@ def min_headroom_for_nadir(query: HeadroomQuery) -> HeadroomResult:
             evaluate(h, None)
         return evaluations[h]
 
+    def volume_bound(nadir0: float) -> float:
+        if nadir0 >= target:
+            return 0.0
+        return dp_pv * (1.0 - (f0 - target) / (f0 - nadir0))
+
     h_star = bisect_min_headroom(
         nadir, target, query.h_max, query.tolerance,
-        meets=lambda h: evaluate(h, target) >= target)
+        meets=lambda h: evaluate(h, target) >= target, hint=volume_bound)
     return HeadroomResult(headroom=h_star, n_runs=n_runs,
+                          volume_bound=volume_bound(evaluations[0.0]),
                           evaluations=dict(evaluations))
 
 
 def bisect_min_headroom(nadir: Callable[[float], float], target: float,
                         h_max: float, tolerance: float,
-                        meets: Callable[[float], bool]) -> float:
+                        meets: Callable[[float], bool], *,
+                        hint: Callable[[float], float] | None = None
+                        ) -> float:
     """Bisection core over a memo-friendly nadir function.
 
-    Probes {h_max, h_max/2, 0} for monotonicity, then bisects the bracket
-    [largest h below target, smallest h at/above target]. ``meets(h)``
-    answers only whether the nadir at ``h`` reaches the target, as
-    ``nadir(h) >= target`` would; it serves the bisection midpoints and,
-    once h_max/2 meets the target, the h = 0 probe, where any failing nadir
-    is below h_max/2's and so cannot break monotonicity.
+    Reads {h_max, h_max/2, 0} through ``nadir`` to check monotonicity, then
+    bisects the half that holds the crossing. ``meets(h)`` answers only
+    whether ``nadir(h) >= target`` and is asked at most once per headroom.
+    ``hint(nadir(0.0))``, if finite, predicts the crossing. The search runs
+    first the last bracket that bisection reaches if exactly the headrooms
+    at or above the hint pass: its upper end, then its lower end. While an
+    end gives the other answer it moves outward 1, 2, 4, ... cells. Then it
+    bisects, taking a midpoint's answer without a run where the smallest
+    headroom known to pass or the largest known to fail decides it. Every
+    headroom tested is a node of the bisection tree, so the answer is plain
+    bisection's wherever pass/fail is monotone over the tested points, and
+    on every input its nadir was read in full and meets the target, while
+    its lower neighbour on the final grid failed or is where the search
+    began. A wrong hint costs runs, never the answer.
     """
     top = nadir(h_max)
     middle = nadir(h_max / 2.0)
-    bottom: float | None = None
-    if middle < target or meets(0.0):
-        bottom = nadir(0.0)
-    if not ((bottom is None or bottom <= middle + 1e-9)
-            and middle <= top + 1e-9):
-        shown = "below target" if bottom is None else f"{bottom:.4f}"
+    bottom = nadir(0.0)
+    if not (bottom <= middle + 1e-9 and middle <= top + 1e-9):
         raise NonMonotoneError(
             "nadir is not non-decreasing in headroom over "
             f"[0.0, {h_max / 2.0}, {h_max}]: "
-            f"[{shown}, {middle:.4f}, {top:.4f}]"
+            f"[{bottom:.4f}, {middle:.4f}, {top:.4f}]"
         )
-    if bottom is not None and bottom >= target:
+    if bottom >= target:
         return 0.0
     if top < target:
         raise UnattainableError(
             f"nadir at h_max={h_max} is {top:.4f} Hz, below the "
             f"target {target:.4f} Hz"
         )
-    lo, hi = 0.0, h_max
-    if middle >= target:
-        hi = h_max / 2.0
-    else:
-        lo = h_max / 2.0
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats: no point lies between
-        if meets(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    lo, hi = (0.0, h_max / 2.0) if middle >= target else (h_max / 2.0, h_max)
+    # The largest headroom known to fail and the smallest known to pass.
+    failed, passed = lo, hi
+
+    def passes(h: float) -> bool:
+        nonlocal failed, passed
+        if failed < h < passed:
+            if meets(h):
+                passed = h
+            else:
+                failed = h
+        return h >= passed
+
+    def bisect(test: Callable[[float], bool]) -> tuple[float, float]:
+        a, b = lo, hi
+        while b - a > tolerance:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break  # a and b are adjacent floats: no point lies between
+            if test(mid):
+                b = mid
+            else:
+                a = mid
+        return a, b
+
+    def bracket(x: float) -> tuple[float, float]:
+        # The last bracket if exactly the headrooms at or above x pass.
+        return bisect(lambda h: h >= x)
+
+    h_vol = math.nan if hint is None else hint(bottom)
+    if math.isfinite(h_vol):
+        a, b = bracket(h_vol)
+        width = step = b - a
+        # Each move aims at the middle of a cell, 1, 2, 4, ... cells out.
+        while not passes(b):
+            b = bracket(b + step - width / 2.0)[1]
+            step *= 2.0
+        while passes(a):
+            a = bracket(a - step + width / 2.0)[0]
+            step *= 2.0
+    return bisect(passes)[1]
 
 
 def sweep_param(scenario: Scenario, param_path: str, values: list[Any]

@@ -265,6 +265,12 @@ class TestHeadroom:
         assert "minimum headroom" in out
         assert re.search(r"\((\d+) simulation runs, (\d+) headroom values\)",
                          out)
+        # The volume bound from the h = 0 run sits on a line of its own.
+        bound, margin = re.search(r"^volume bound (\S+) from the h = 0 "
+                                  r"run; shape margin (\S+)$", out,
+                                  re.M).groups()
+        assert float(bound) == pytest.approx(0.0532, abs=1e-4)
+        assert float(margin) >= -0.001
 
     def test_unattainable_exits_2(self, capsys):
         code = run_cli("headroom", "--preset", "ercot80", "--controller",

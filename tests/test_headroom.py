@@ -79,7 +79,7 @@ class TestBisectionCore:
         assert exact == [0.5, 0.25, 0.0]
         assert abs(h - 0.5 / 1.2) <= 0.001
 
-    def test_zero_probe_uses_the_pass_bit_once_the_middle_passes(self):
+    def test_zero_probe_is_read_in_full_once_the_middle_passes(self):
         exact = []
 
         def nadir(h):
@@ -91,9 +91,9 @@ class TestBisectionCore:
 
         bisect_min_headroom(nadir, 59.5, h_max=0.5, tolerance=0.001,
                             meets=meets)
-        assert exact == [0.5, 0.25]
-        # a bottom probe that meets the target is still read exactly, so
-        # a non-monotone h = 0 value is still caught
+        assert exact == [0.5, 0.25, 0.0]
+        # a bottom probe that meets the target is read exactly, so a
+        # non-monotone h = 0 value is still caught
         with pytest.raises(NonMonotoneError):
             bisect_min_headroom(lambda h: 59.9 if h == 0.0 else 59.6,
                                 59.5, h_max=0.5, tolerance=0.001,
@@ -118,6 +118,54 @@ class TestBisectionCore:
         assert len(set(calls)) == len(calls)
 
 
+class TestHint:
+    """A hint orders the tests and nothing else: with any hint, the
+    bisection core returns what it returns without one, on a monotone
+    nadir, and tests each headroom at most once."""
+
+    @staticmethod
+    def search(t, h_max, tolerance, hint):
+        """The answer for a rising nadir that jumps over a 60 Hz target
+        at h = t, and the headrooms ``meets`` was asked about."""
+        calls = []
+
+        def nadir(h):
+            return 59.0 + h + (h >= t)
+
+        def meets(h):
+            calls.append(h)
+            return nadir(h) >= 60.0
+
+        h = bisect_min_headroom(nadir, 60.0, h_max=h_max,
+                                tolerance=tolerance, meets=meets,
+                                hint=None if hint is None
+                                else lambda nadir0: hint)
+        return h, calls
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(h_max=st.sampled_from((0.5, 0.3, 0.1)),
+           tolerance=st.sampled_from((0.001, 1e-30)),
+           u=st.floats(0.0, 1.0, exclude_min=True))
+    def test_hint_cannot_change_the_answer(self, h_max, tolerance, u):
+        t = u * h_max
+        expected, plain = self.search(t, h_max, tolerance, None)
+        cell = max(tolerance, math.ulp(t))
+        hints = [-1.0, 0.0, h_max, 2.0 * h_max, math.nan, math.inf,
+                 -math.inf] + [t + k * cell for k in
+                               (-40, -5, -2, -1, 0, 1, 2, 5, 40)]
+        # A hint far from the answer moves out 1, 2, 4, ... cells and then
+        # bisects the last move: at most about twice plain bisection's
+        # ceil(log2(h_max / tolerance)) tests.
+        budget = 2 * math.ceil(math.log2(h_max / tolerance)) + 2
+        assert len(plain) <= budget / 2
+        for hint in hints:
+            h, calls = self.search(t, h_max, tolerance, hint)
+            assert h == expected, hint
+            assert len(set(calls)) == len(calls) <= budget, hint
+        # The exact hint finds the answer's bracket at once: two tests.
+        assert len(self.search(t, h_max, tolerance, t)[1]) <= 2
+
+
 class TestMinHeadroomForNadir:
     def test_ercot_combined_result_brackets_target(self):
         scenario = preset("ercot80", "combined")
@@ -140,7 +188,7 @@ class TestMinHeadroomForNadir:
         query = HeadroomQuery(scenario=scenario, controller="combined",
                               target_nadir_hz=58.0)
         result = min_headroom_for_nadir(query)
-        assert result.headroom == 0.0
+        assert result.headroom == result.volume_bound == 0.0
 
     def test_unattainable_target(self):
         scenario = preset("ercot80")
@@ -190,6 +238,7 @@ class TestMinHeadroomForNadir:
                               target_nadir_hz=59.5)
         result = min_headroom_for_nadir(query)
         assert result.n_runs == len(calls)
+        assert len({h for h, _ in calls}) == len(calls)  # none runs twice
         # The h_max run never touches its limits, so the h_max/2 probe
         # (above its peak command) is answered without a run.
         assert calls[0] == (0.5, None)
@@ -201,6 +250,27 @@ class TestMinHeadroomForNadir:
                                if h in stopped)
         for h, value in result.evaluations.items():
             assert value == post_event_min(scenario, h)
+
+
+class TestVolumeBound:
+    """The volume bound from the h = 0 run, against values that a 40-step
+    bisection on the event size dp gives on the presets (20 s horizons).
+    The bound is empirical: it holds while the grid's response to added
+    power does not undershoot."""
+
+    @pytest.mark.parametrize("name, target, bound", [
+        ("ercot80", 59.3, 0.0344), ("ercot80", 59.5, 0.0532),
+        ("ercot80", 59.6, 0.0625), ("ei80", 59.85, 0.0072),
+        ("ei80", 59.9, 0.0123)])
+    def test_bound_matches_presets_and_stays_below_the_answer(
+            self, name, target, bound):
+        scenario = set_param(preset_scenario(name), "sim.t_end", 20.0)
+        for kind in ("droop", "combined"):
+            query = HeadroomQuery(scenario=scenario, controller=kind,
+                                  target_nadir_hz=target)
+            result = min_headroom_for_nadir(query)
+            assert result.volume_bound == pytest.approx(bound, abs=1e-4)
+            assert result.volume_bound <= result.headroom + query.tolerance
 
 
 def post_event_min(scenario, h):
@@ -265,7 +335,7 @@ def differential_queries(n=24, seed=2020):
 
 class TestDifferential:
     def test_sizer_equals_plain_bisection(self):
-        reused = stopped = 0
+        saved_runs = saved_values = 0
         outcomes = set()
         for scenario, kind, h_max, u in differential_queries():
             memo = {}
@@ -284,18 +354,22 @@ class TestDifferential:
                 continue
             assert result.headroom == expected
             for h, value in result.evaluations.items():
-                assert value == memo[h]
-            # Both probe the same headrooms; each one the sizer probed is
-            # either recorded (run or reused) or was a stopped run.
-            n_stopped = plain_runs - len(result.evaluations)
-            n_reused = plain_runs - result.n_runs
-            assert n_stopped >= 0 and n_reused >= 0
-            reused += n_reused > 0
-            stopped += n_stopped > 0
+                # The hinted search may record a headroom that plain
+                # bisection never probed.
+                assert value == (memo[h] if h in memo
+                                 else post_event_min(scenario, h))
+            # Plain bisection runs every headroom it probes in full. The
+            # sizer records no more values and makes no more runs than that.
+            fewer_values = plain_runs - len(result.evaluations)
+            fewer_runs = plain_runs - result.n_runs
+            assert fewer_values >= 0 and fewer_runs >= 0
+            saved_runs += fewer_runs > 0
+            saved_values += fewer_values > 0
             outcomes.add("h0" if expected == 0.0 else
                          "upper half" if expected > h_max / 2.0 else "bisect")
-        # Every shortcut and every answer kind was exercised.
-        assert reused > 0 and stopped > 0
+        # Some queries saved runs and some recorded fewer values than
+        # plain bisection ran, and every answer kind was exercised.
+        assert saved_runs > 0 and saved_values > 0
         assert {"h0", "bisect", "upper half", "UnattainableError"} \
             <= outcomes
 

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+import gridfreq.headroom
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
@@ -60,6 +62,25 @@ def test_seed0_study_pool_matches_reference(workloads, tmp_path):
 
 def test_seed0_sizing_pool_matches_reference(workloads, tmp_path):
     check_seed0_pool(workloads, tmp_path, "sizing")
+
+
+def test_seed0_sizing_pool_run_count(workloads, tmp_path, monkeypatch):
+    """The seed-0 sizing pool makes 105 simulation runs, the benchmark's
+    ``headroom.runs``: the search's cost, pinned so that a rise fails
+    here. Plain bisection with the same reuse and early stop made 162."""
+    runs = []
+    run_simulation = gridfreq.headroom.run_simulation
+
+    def counted(scenario, **kwargs):
+        runs.append(scenario.system.pv.headroom)
+        return run_simulation(scenario, **kwargs)
+
+    monkeypatch.setattr(gridfreq.headroom, "run_simulation", counted)
+    workload = workloads.WORKLOADS["sizing"]
+    for case in workloads.generate("sizing", workloads.DEFAULT_SEED,
+                                   tmp_path):
+        workload.run(case)
+    assert len(runs) == 105
 
 
 def test_seed0_export_pool_matches_reference(workloads, tmp_path):

@@ -227,7 +227,6 @@ def run_step_test(controller_spec: ControllerSpec,
     df_step = -thr.step_magnitude
 
     prev = y = 0.0
-    t_list = [0.0]
     y_list = [0.0]
     k = 0
     for delta_f, end in ((0.0, k_step), (df_step, n_steps)):
@@ -240,9 +239,7 @@ def run_step_test(controller_spec: ControllerSpec,
                 # Every step of the chunk leaves (prev, y) as they are. y
                 # is never -0.0, so a mix of zero signs in cmds cannot
                 # change it.
-                ks = range(k + stride - k % stride, k + m + 1, stride)
-                t_list += map(dt.__mul__, ks)
-                y_list += [y] * len(ks)
+                y_list += [y] * ((k + m) // stride - k // stride)
                 k += m
                 continue
             # Each if/elif clamp equals min(max(cmd, lower), upper), zero
@@ -261,8 +258,8 @@ def run_step_test(controller_spec: ControllerSpec,
                     prev = cmd
                 y += (cmd - y) * a_inv
                 if k % stride == 0:
-                    t_list.append(k * dt)
                     y_list.append(y)
+    t_list = [k * dt for k in range(0, n_steps + 1, stride)]
     return StepResponse(t=t_list, y=y_list, step_time=step_time,
                         step_magnitude=thr.step_magnitude)
 
@@ -338,6 +335,14 @@ def _step_response_metrics(t: Sequence[float], y: Sequence[float],
     "not_settled"); a change below 1e-6 is "no_response". All times are
     relative to ``step_time`` and threshold crossings are linearly
     interpolated.
+
+    Progress, sign * (y - baseline) / |change|, is 0 at the baseline and
+    1 at the final value, and never falls as sign * y rises. It is
+    computed only where the scans look: one forward scan finds the first
+    crossings of the rising levels, one from the end the last sample
+    outside the settling band, and the overshoot is read at max(y), or
+    min(y) when the sign is -1. A response that never reaches 0.9, or is
+    outside the band at its last sample, is "not_settled".
     """
     if len(t) != len(y) or len(t) < 3:
         raise ValueError("response must have matching t/y of length >= 3")
@@ -352,21 +357,48 @@ def _step_response_metrics(t: Sequence[float], y: Sequence[float],
         raise _Ungradable("not_settled")
 
     sign = 1.0 if change > 0.0 else -1.0
-    # Normalized progress toward the final value, 0 at baseline, 1 at final.
-    prog = [sign * (yi - baseline) / abs(change) for yi in y]
+    scale = abs(change)
 
-    reaction = _first_crossing(t, prog, REACTION_FRACTION) - step_time
-    t_lo = _first_crossing(t, prog, RISE_FRACTIONS[0])
-    t_hi = _first_crossing(t, prog, RISE_FRACTIONS[1])
-    rise = t_hi - t_lo
-    settling = _settling_time(t, prog, settling_band) - step_time
-    overshoot = max(0.0, max(prog) - 1.0)
+    def prog(j: int) -> float:
+        return sign * (y[j] - baseline) / scale
+
+    crossings = []
+    i = 0
+    # The levels rise, so each scan resumes at the previous crossing. The
+    # scans inline prog: a call per sample nearly doubles their time.
+    for level in (REACTION_FRACTION, *RISE_FRACTIONS):
+        for i in range(i, len(y)):
+            if sign * (y[i] - baseline) / scale >= level:
+                break
+        else:
+            raise _Ungradable("not_settled")
+        if i == 0:
+            crossings.append(t[0])
+            continue
+        p0, p1 = prog(i - 1), prog(i)
+        frac = (level - p0) / (p1 - p0)
+        crossings.append(t[i - 1] + frac * (t[i] - t[i - 1]))
+    reaction, t_lo, t_hi = crossings
+
+    settled = t[0]
+    for i in range(len(y) - 1, -1, -1):
+        if abs(sign * (y[i] - baseline) / scale - 1.0) > settling_band:
+            if i + 1 == len(y):
+                raise _Ungradable("not_settled")
+            # p0 is above the band and p1 is not, so p0 != p1
+            p0, p1 = abs(prog(i) - 1.0), abs(prog(i + 1) - 1.0)
+            frac = (p0 - settling_band) / (p0 - p1)
+            settled = t[i] + frac * (t[i + 1] - t[i])
+            break
+
+    peak = max(y) if sign > 0.0 else min(y)
+    overshoot = max(0.0, sign * (peak - baseline) / scale - 1.0)
     if overshoot < 1e-9:  # below final-value estimation noise
         overshoot = 0.0
     return StepResponseMetrics(
-        reaction_time_s=reaction,
-        rise_time_s=rise,
-        settling_time_s=settling,
+        reaction_time_s=reaction - step_time,
+        rise_time_s=t_hi - t_lo,
+        settling_time_s=settled - step_time,
         overshoot=overshoot,
         final_value=final,
     )
@@ -378,38 +410,6 @@ def _baseline(t: Sequence[float], y: Sequence[float],
     if not pre:
         return y[0]
     return sum(pre) / len(pre)
-
-
-def _first_crossing(t: Sequence[float], prog: Sequence[float],
-                    level: float) -> float:
-    """Time of the first crossing of ``level``, linearly interpolated."""
-    if prog[0] >= level:
-        return t[0]
-    for i in range(1, len(prog)):
-        if prog[i] >= level:
-            frac = (level - prog[i - 1]) / (prog[i] - prog[i - 1])
-            return t[i - 1] + frac * (t[i] - t[i - 1])
-    raise _Ungradable("not_settled")
-
-
-def _settling_time(t: Sequence[float], prog: Sequence[float],
-                   band: float) -> float:
-    """Time of the last entry into the +/-band around the final value.
-
-    A response still outside the band at its last sample is "not_settled";
-    the tail check does not rule that out when the band is below 0.5%."""
-    outside = None
-    for i, pi in enumerate(prog):
-        if abs(pi - 1.0) > band:
-            outside = i
-    if outside is None:
-        return t[0]
-    if outside + 1 >= len(prog):
-        raise _Ungradable("not_settled")
-    p0 = abs(prog[outside] - 1.0)
-    p1 = abs(prog[outside + 1] - 1.0)
-    frac = (p0 - band) / (p0 - p1) if p0 != p1 else 1.0
-    return t[outside] + frac * (t[outside + 1] - t[outside])
 
 
 def format_report(report: ComplianceReport) -> str:

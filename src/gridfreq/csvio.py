@@ -19,8 +19,8 @@ TRACE_HEADER = ("t_s,f_hz,rocof_hz_per_s,dp_gov_pu,dp_pv_pu,"
                 "dp_pv_droop_pu,dp_pv_inertia_pu")
 METRICS_HEADER = ("scenario,controller,nadir_hz,nadir_time_s,"
                   "max_abs_rocof_hz_per_s,settling_freq_hz")
-# One format per row. Writers pass each number as x + 0.0, which
-# canonicalizes -0.0, so zero always prints as 0.000000.
+# One format per row. Writers pass each number as x + 0.0, which turns an
+# exact -0.0 into 0.0; a value in (-5e-7, 0) still prints as -0.000000.
 _TRACE_ROW = ",".join(["%.6f"] * 7) + "\n"
 _METRICS_ROW = "%s,%s," + ",".join(["%.6f"] * 4) + "\n"
 

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridfreq.compliance
-from gridfreq.compliance import (ComplianceThresholds, StepResponse,
+from gridfreq.compliance import (REACTION_FRACTION, RISE_FRACTIONS,
+                                 SETTLE_CHECK_FRACTION, SETTLE_CHECK_LIMIT,
+                                 ComplianceThresholds, StepResponse,
+                                 StepResponseMetrics, _baseline,
+                                 _step_response_metrics, _Ungradable,
                                  evaluate_compliance, format_report,
                                  run_step_test)
 from gridfreq.scenario import (ControllerSpec, DroopConfig, InertiaConfig,
@@ -52,6 +57,23 @@ class TestRunStepTest:
         # remains (40 B when all the commands were held at once).
         sim = SimConfig(dt=0.001, sample_interval=0.1, t_end=100.0)
         assert self.traced_peak(droop_spec(t_lag=5.0), sim, 1001) / 1e5 <= 2
+
+    def test_grading_memory_per_sample(self):
+        # Grading reads y only where its scans look and copies the last
+        # tenth's references: about 0.9 B per sample. A per-sample
+        # progress list took about 33 B.
+        sim = SimConfig(dt=0.001, sample_interval=0.001, t_end=200.0)
+        resp = run_step_test(droop_spec(), PVPlantConfig(headroom=0.1),
+                             sim=sim)
+        evaluate_compliance(resp)
+        tracemalloc.start()
+        try:
+            report = evaluate_compliance(resp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and len(resp.y) == 200001
+        assert peak / len(resp.y) <= 2
 
     @staticmethod
     def traced_peak(spec, sim, n_samples):
@@ -364,6 +386,120 @@ class TestEvaluateCompliance:
         text = format_report(report)
         assert "overall: PASS" in text
         assert "rise_time" in text
+
+
+def reference_metrics(t, y, step_time, settling_band):
+    """The grader with a per-sample progress list, three first-crossing
+    scans and a forward settling scan: the oracle for the shipped one."""
+    n_tail = max(1, int(len(t) * SETTLE_CHECK_FRACTION))
+    tail = y[-n_tail:]
+    final = sum(tail) / len(tail)
+    baseline = _baseline(t, y, step_time)
+    change = final - baseline
+    if abs(change) < 1e-6:
+        raise _Ungradable("no_response")
+    if (max(tail) - min(tail)) >= SETTLE_CHECK_LIMIT * abs(change):
+        raise _Ungradable("not_settled")
+
+    sign = 1.0 if change > 0.0 else -1.0
+    prog = [sign * (yi - baseline) / abs(change) for yi in y]
+    reaction = _first_crossing(t, prog, REACTION_FRACTION) - step_time
+    t_lo = _first_crossing(t, prog, RISE_FRACTIONS[0])
+    t_hi = _first_crossing(t, prog, RISE_FRACTIONS[1])
+    settling = _settling_time(t, prog, settling_band) - step_time
+    overshoot = max(0.0, max(prog) - 1.0)
+    if overshoot < 1e-9:
+        overshoot = 0.0
+    return StepResponseMetrics(reaction_time_s=reaction,
+                               rise_time_s=t_hi - t_lo,
+                               settling_time_s=settling,
+                               overshoot=overshoot, final_value=final)
+
+
+def _first_crossing(t, prog, level):
+    if prog[0] >= level:
+        return t[0]
+    for i in range(1, len(prog)):
+        if prog[i] >= level:
+            frac = (level - prog[i - 1]) / (prog[i] - prog[i - 1])
+            return t[i - 1] + frac * (t[i] - t[i - 1])
+    raise _Ungradable("not_settled")
+
+
+def _settling_time(t, prog, band):
+    outside = None
+    for i, pi in enumerate(prog):
+        if abs(pi - 1.0) > band:
+            outside = i
+    if outside is None:
+        return t[0]
+    if outside + 1 >= len(prog):
+        raise _Ungradable("not_settled")
+    p0 = abs(prog[outside] - 1.0)
+    p1 = abs(prog[outside + 1] - 1.0)
+    frac = (p0 - band) / (p0 - p1) if p0 != p1 else 1.0
+    return t[outside] + frac * (t[outside + 1] - t[outside])
+
+
+def _graded(grader, t, y, step_time, band):
+    """The grader's metrics, or its failure reason, as repr text, so that
+    zero signs count."""
+    try:
+        return repr(grader(t, y, step_time, band))
+    except _Ungradable as exc:
+        return repr(str(exc))
+
+
+@st.composite
+def graded_responses(draw):
+    """First-order or overshooting second-order responses, rising or
+    falling, with flat or noisy samples before the step and optional noise
+    after it, graded in a settling band from 1e-12 to 0.5."""
+    n = draw(st.integers(3, 400))
+    si = draw(st.sampled_from([0.001, 0.01, 0.1]))
+    k_step = draw(st.integers(0, n // 2))
+    gain = draw(st.floats(1e-7, 10.0)) * draw(st.sampled_from([1.0, -1.0]))
+    offset = draw(st.floats(-1.0, 1.0))
+    tau = draw(st.floats(0.2, max(0.2, n / 8)))  # in samples
+    zeta = draw(st.one_of(st.none(), st.floats(0.05, 0.95)))
+    pre_noise = draw(st.sampled_from([0.0, 1e-4, 0.05])) * abs(gain)
+    post_noise = draw(st.sampled_from([0.0, 1e-9, 1e-4])) * abs(gain)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    y = [offset + pre_noise * rng.uniform(-1.0, 1.0) for _ in range(k_step)]
+    for k in range(n - k_step):
+        x = k / tau
+        if zeta is None:
+            shape = -math.expm1(-x)
+        else:
+            wd = math.sqrt(1.0 - zeta * zeta)
+            shape = 1.0 - math.exp(-zeta * x) * (
+                math.cos(wd * x) + zeta / wd * math.sin(wd * x))
+        y.append(offset + gain * shape + post_noise * rng.uniform(-1.0, 1.0))
+    band = 10.0 ** draw(st.floats(-12.0, math.log10(0.5)))
+    return [k * si for k in range(n)], y, k_step * si, band
+
+
+class TestGradingOracle:
+    """The shipped grader equals the progress-list grader it replaced:
+    the same metrics bit for bit, or the same failure reason."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(graded_responses())
+    # reaches 0.9 only at its last sample, the whole tail
+    @example(([0.0, 0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.5, 0.5, 1.0], 0.1,
+              0.025))
+    # a band wider than the whole response: settled from the first sample
+    @example(([0.0, 0.1, 0.2, 0.3], [0.0, 1.0, 1.0, 1.0], 0.0, 1.5))
+    # the last two samples lie exactly on the edges of a 2**-10 band,
+    # which counts as inside it
+    @example(([k * 0.1 for k in range(20)],
+              [0.0] + [1.0] * 17 + [1.0 - 2.0**-10, 1.0 + 2.0**-10], 0.0,
+              2.0**-10))
+    # the tail's mean overflows, so progress is 0 and never reaches 0.02
+    @example(([0.0, 0.1, 0.2, 0.3], [0.0, 1e308, 1e308, 1e308], 0.0, 0.1))
+    def test_equals_the_progress_list_grader(self, case):
+        assert (_graded(_step_response_metrics, *case)
+                == _graded(reference_metrics, *case))
 
 
 class TestCascadeMonotonicity:

@@ -224,7 +224,7 @@ class TestOracleDifferential:
     """The one-loop test equals the block-per-object reference bit for
     bit, zero signs included: same float operations in the same order."""
 
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(step_cases())
     @example((_COMBINED, PVPlantConfig(headroom=0.02, rate_limit=0.05),
               ComplianceThresholds(), SimConfig(t_end=6.0,
@@ -483,7 +483,7 @@ class TestGradingOracle:
     """The shipped grader equals the progress-list grader it replaced:
     the same metrics bit for bit, or the same failure reason."""
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(graded_responses())
     # reaches 0.9 only at its last sample, the whole tail
     @example(([0.0, 0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.5, 0.5, 1.0], 0.1,

@@ -520,7 +520,7 @@ class TestReferenceDifferential:
     same float operations in the same order."""
 
     @pytest.mark.parametrize("kind,clamp,rate", VARIANTS)
-    @settings(derandomize=True, max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(data=st.data())
     def test_equals_reference(self, kind, clamp, rate, data):
         scenario, stop = data.draw(engine_cases(kind, clamp, rate))

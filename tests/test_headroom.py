@@ -142,7 +142,7 @@ class TestHint:
                                 else lambda nadir0: hint)
         return h, calls
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(h_max=st.sampled_from((0.5, 0.3, 0.1)),
            tolerance=st.sampled_from((0.001, 1e-30)),
            u=st.floats(0.0, 1.0, exclude_min=True))
@@ -271,6 +271,30 @@ class TestVolumeBound:
             result = min_headroom_for_nadir(query)
             assert result.volume_bound == pytest.approx(bound, abs=1e-4)
             assert result.volume_bound <= result.headroom + query.tolerance
+
+    # No shrinking, as in TestMonotoneNadir: each example is a sizing.
+    @settings(max_examples=40, phases=[Phase.generate])
+    @given(preset=st.sampled_from(("ei80", "ercot80")),
+           kind=st.sampled_from(("droop", "combined")),
+           h_sys=st.floats(1.0, 6.0), dp=st.floats(0.005, 0.06),
+           c_pv=st.floats(0.1, 0.8), depth=st.floats(0.1, 0.9))
+    def test_bound_stays_below_the_answer_beyond_the_presets(
+            self, preset, kind, h_sys, dp, c_pv, depth):
+        # The target lies ``depth`` of the way from f0 down to the nadir
+        # without PV support; an unattainable target has no answer to
+        # bound.
+        scenario = scenario_from_dict({
+            "preset": preset, "system": {"h_sys": h_sys, "pv": {"c_pv": c_pv}},
+            "contingency": {"dp": dp}, "sim": {"t_end": 20.0}})
+        f0 = scenario.system.f0
+        target = f0 - depth * (f0 - post_event_min(scenario, 0.0))
+        query = HeadroomQuery(scenario=scenario, controller=kind,
+                              target_nadir_hz=target)
+        try:
+            result = min_headroom_for_nadir(query)
+        except UnattainableError:
+            return
+        assert result.volume_bound <= result.headroom + query.tolerance
 
 
 def post_event_min(scenario, h):
@@ -431,8 +455,7 @@ class TestMonotoneNadir:
 
     # No shrinking: each example is six or more runs, and shrinking a
     # failure took minutes; the failing example is reported as drawn.
-    @settings(derandomize=True, max_examples=40, deadline=None,
-              phases=[Phase.generate])
+    @settings(max_examples=40, phases=[Phase.generate])
     @given(scenario=sized_scenarios(),
            inner=st.lists(st.floats(0.0, 0.45, exclude_min=True,
                                     exclude_max=True),

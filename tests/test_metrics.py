@@ -89,7 +89,7 @@ class TestFrequencyMetrics:
         m = compute_frequency_metrics(trace, t_event=trace.t[-1], f0=60.0)
         assert m.nadir_time_s == 0.0
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(t=st.lists(st.floats(-10.0, 10.0), max_size=20).map(sorted),
            value=st.floats(-11.0, 11.0), near=st.booleans())
     def test_first_sample_search_equals_linear_scan(self, t, value, near):

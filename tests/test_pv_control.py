@@ -185,7 +185,7 @@ class TestReferenceDifferential:
     deviation sequence, including ones that trip the recovery clamp (an
     open-loop step never does)."""
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(KINDS, DROOPS, INERTIAS, DTS,
            st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=200))
     def test_equals_reference(self, kind, dcfg, icfg, dt, deviations):
@@ -195,7 +195,7 @@ class TestReferenceDifferential:
         for df in deviations:
             assert step(df) == ref.step(df, dt)
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(KINDS, DROOPS, INERTIAS, DTS,
            st.lists(st.tuples(DEVIATIONS, st.integers(1, 50)), min_size=1,
                     max_size=20))
@@ -207,7 +207,7 @@ class TestReferenceDifferential:
             want = [ref.step(df, dt) for _ in range(n)]
             assert signed(hold(df, n)) == signed(want)
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(KINDS, DROOPS, INERTIAS, DTS, DEVIATIONS, st.integers(0, 50),
            st.integers(0, 50))
     def test_split_hold_equals_one_hold(self, kind, dcfg, icfg, dt, df, m,

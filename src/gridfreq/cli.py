@@ -236,13 +236,10 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
-    except (ScenarioError, ValueError) as exc:
+    except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (UnattainableError, NonMonotoneError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (UnattainableError, NonMonotoneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

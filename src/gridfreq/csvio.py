@@ -4,7 +4,8 @@ Formatting is fixed at six decimal places with ``\\n`` newlines so repeated
 runs of the same command produce byte-identical files, suitable for
 golden-file comparisons. A scenario or controller name holding a comma,
 quote, carriage return or newline is written quoted, as the ``csv`` module
-does, and the ``csv`` reader reads it back unchanged.
+does, and the ``csv`` reader reads it back unchanged. A row that does not
+parse is rejected with a ``ValueError`` that names its line.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ def _text_field(text: str) -> str:
     return text
 
 
+def _bad_row(table: str, line_no: int, fields: list[str], expected: int,
+             exc: ValueError) -> ValueError:
+    why = (exc if len(fields) == expected
+           else f"expected {expected} fields, got {len(fields)}")
+    return ValueError(f"{table} CSV line {line_no}: {why}")
+
+
 def write_trace_csv(trace: Trace, sink: TextIO) -> None:
     """Write one row per sample with the fixed trace header."""
     sink.write(TRACE_HEADER + "\n")
@@ -49,11 +57,13 @@ def read_trace_csv(source: TextIO) -> Trace:
     if header != TRACE_HEADER:
         raise ValueError(f"unexpected trace header: {header!r}")
     trace = Trace()
-    for line in source:
-        line = line.strip()
+    for n, line in enumerate(map(str.strip, source), 2):
         if not line:
             continue
-        t, f, r, gov, pv, pvd, pvi = map(float, line.split(","))
+        try:
+            t, f, r, gov, pv, pvd, pvi = map(float, line.split(","))
+        except ValueError as exc:
+            raise _bad_row("trace", n, line.split(","), 7, exc) from None
         trace.t.append(t)
         trace.f_hz.append(f)
         trace.rocof_hz_per_s.append(r)
@@ -82,14 +92,16 @@ def read_metrics_csv(source: TextIO) -> list[tuple[str, str,
     if header != METRICS_HEADER:
         raise ValueError(f"unexpected metrics header: {header!r}")
     rows = []
-    for row in csv.reader(source):
+    reader = csv.reader(source)
+    for row in reader:
         if not row:
             continue
-        scenario, controller, nadir, t_nadir, rocof, settling = row
-        rows.append((scenario, controller, FrequencyMetrics(
-            nadir_hz=float(nadir),
-            nadir_time_s=float(t_nadir),
-            max_abs_rocof_hz_per_s=float(rocof),
-            settling_freq_hz=float(settling),
-        )))
+        try:
+            scenario, controller, nadir, t_nadir, rocof, settling = row
+            rows.append((scenario, controller, FrequencyMetrics(
+                float(nadir), float(t_nadir), float(rocof), float(settling))))
+        except ValueError as exc:
+            # line_num ends at the row's last line, after the header's.
+            raise _bad_row("metrics", 1 + reader.line_num, row, 6,
+                           exc) from None
     return rows

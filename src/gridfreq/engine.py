@@ -23,16 +23,18 @@ The step loop is generated from one source template per controller variant:
 droop and inertia path on or off, recovery clamp on or off and rate limiter
 on or off. The clamp counts only with an inertia path and the rate limiter
 only with a path to limit, so 12 configurations compile into 11 loops. The
-template holds the stage right-hand side once and inlines it four times per
-step; a variant drops the lines of the elements it lacks, including the
-states of a path that is off, which stay exactly 0.0. Each variant is
-compiled on its first use and cached for the life of the process, so
-importing the package compiles none; its code object is named after the
-variant (for example ``<gridfreq rk4 combined+clamp+rate>``), which
-tracebacks and profiles show. ``run_simulation`` validates the inputs,
-hoists the coefficients and calls the variant's loop.
-``tests/engine_reference.py`` keeps the earlier closure form of the loop as
-the test oracle; the two agree bit for bit.
+template writes each control element once, as a block that one expander
+inlines wherever it is used: ``stage`` (an RK4 stage, four per step),
+``deadband``, ``command`` (the path requests with the recovery clamp),
+``paths``, ``envelope`` (the plant's range-and-clamp) and ``record``. A
+variant drops the lines of the elements it lacks; a path that is off keeps
+its states at exactly 0.0. Each variant is compiled on first use and cached
+for the process, so importing the package compiles none; its code object
+is named after the variant (``<gridfreq rk4 combined+clamp+rate>``, say),
+as tracebacks and profiles show. ``run_simulation`` validates the inputs,
+hoists the coefficients and calls the loop. ``tests/engine_reference.py``
+keeps the earlier closure form of the loop as the test oracle; the two
+agree bit for bit.
 
 Identical inputs produce bit-identical traces: the loop is plain scalar
 float arithmetic in a fixed order with no threading and no platform-varying
@@ -42,6 +44,7 @@ reductions.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -183,13 +186,12 @@ def steady_state_deviation(scenario: "Scenario") -> float:
 # "I" the droop or inertia path is on, "d" and "i" it is off, "C" the
 # recovery clamp is on (inertia path only), "R" and "r" the rate limiter is
 # on or off, "S" the stage is one of stages 2-4. Untagged lines are always
-# kept. "@paths", "@record <t>" and "@stage <n> [<h>]" lines expand the
-# blocks below at their indentation.
+# kept. A line "@<block> name=text ..." expands that block of _BLOCKS at
+# its indentation; a block's {name} fields take the line's names, then
+# those of the block around it. Stages 2-4 name their states sdf ... sp.
 #
-# [lo_s, hi_s] is the step's command envelope (the rate limiter may narrow
-# it each step) and [c_lo, c_hi] the range of commands requested before
-# it. A stage whose request lies in [w_lo, w_hi], their intersection,
-# changes neither, so one test serves both.
+# [lo_s, hi_s] is the step's command envelope, which the rate limiter may
+# narrow each step, and [c_lo, c_hi] the range of commands requested.
 _LOOP = """\
    def kernel(*, n_steps, stride, k_event, dt, stop, w_d, inv_rd, r_tld,
               w_i, k_i, r_tli, r_tw, r_tinv, c_pv, lo, hi, rate, kappa_r,
@@ -204,7 +206,7 @@ _LOOP = """\
        dt6 = dt / 6.0
 R      max_delta = rate * dt
        @paths
-       @record 0.0
+       @record t=0.0
        if f < stop:
            n_steps = 0
        for k in range(1, n_steps + 1):
@@ -215,10 +217,10 @@ R          x = prev_cmd + max_delta
 R          hi_s = x if x < hi else hi
 R          w_lo = c_lo if c_lo > lo_s else lo_s
 R          w_hi = c_hi if c_hi < hi_s else hi_s
-           @stage 1
-           @stage 2 h2
-           @stage 3 h2
-           @stage 4 dt
+           @stage n=1
+           @stage n=2 m=1 h=h2
+           @stage n=3 m=2 h=h2
+           @stage n=4 m=3 h=dt
            df += dt6 * (a1 + 2.0 * (a2 + a3) + a4)
            dpm += dt6 * (b1 + 2.0 * (b2 + b3) + b4)
 D          ld += dt6 * (c1 + 2.0 * (c2 + c3) + c4)
@@ -231,59 +233,70 @@ I          xw += dt6 * (g1 + 2.0 * (g2 + g3) + g4)
                dpm = gov_hi
 R          @paths
 R          cmd = cmd_d + cmd_i
-R          if cmd < c_lo:
-R              c_lo = cmd
-R          elif cmd > c_hi:
-R              c_hi = cmd
-R          # [lo_s, hi_s] lies inside [lo, hi], so one clamp serves both.
-R          if cmd < lo_s:
-R              cmd = lo_s
-R          elif cmd > hi_s:
-R              cmd = hi_s
+R          @envelope
 R          prev_cmd = cmd
            if k % stride == 0:
 r              @paths
-               @record k * dt
+               @record t=k * dt
                if f < stop:
                    break
        return c_lo, c_hi, df + dpm + ld + li + xw + p
 """
 
-# The right-hand side at stage {n}: the slopes a, b, c, e, g and p of df,
-# dpm, ld, li, xw and p, taken at the stage states {df} ... {p}. Stages
-# 2-4 first form those from the previous stage's slopes.
-_STAGE = """\
+_BLOCKS = {
+    # The right-hand side at stage {n}: the slopes a, b, c, e, g and p of
+    # df, dpm, ld, li, xw and p, taken at the stage states {df} ... {p}.
+    # Stages 2-4 first form those from stage {m}'s slopes.
+    "stage": """\
 S  sdf = df + {h} * a{m}
 S  sdpm = dpm + {h} * b{m}
 SD sld = ld + {h} * c{m}
 SI sli = li + {h} * e{m}
 SI sxw = xw + {h} * g{m}
 S  sp = p + {h} * p{m}
-D  if {df} > w_d:
-D      u = {df} - w_d
-D  elif {df} < -w_d:
-D      u = {df} + w_d
-D  else:
-D      u = 0.0
+D  @deadband w=w_d
 D  c{n} = (u - {ld}) * r_tld
-D  cmd = -{ld} * inv_rd
-d  cmd = 0.0
-I  if {df} > w_i:
-I      u = {df} - w_i
-I  elif {df} < -w_i:
-I      u = {df} + w_i
-I  else:
-I      u = 0.0
+I  @deadband w=w_i
 I  e{n} = (u - {li}) * r_tli
-I  g{n} = (k_i * {li} - {xw}) * r_tw
-I  ci = -g{n}
-C  if {df} < 0.0:
-C      if ci < 0.0:
-C          ci = 0.0
-C  elif {df} > 0.0:
-C      if ci > 0.0:
-C          ci = 0.0
+   @command cmd=cmd ci=ci g=g{n}
 I  cmd += ci
+   @envelope
+   p{n} = (cmd - {p}) * r_tinv
+   a{n} = ({dpm} + c_pv * {p} - dp_event - d_load * {df}) * r_2h
+   b{n} = (-kappa_r * {df} - {dpm}) * r_tgov
+""",
+    # A path's lag input u: {df} less its deadband {w}, continuous at +-{w}.
+    "deadband": """\
+   if {df} > {w}:
+       u = {df} - {w}
+   elif {df} < -{w}:
+       u = {df} + {w}
+   else:
+       u = 0.0
+""",
+    # The path requests (plant pu): droop {cmd}, and the washout output {ci}
+    # = -{g}, which the recovery clamp zeroes while it opposes recovery.
+    "command": """\
+D  {cmd} = -{ld} * inv_rd
+d  {cmd} = 0.0
+I  {g} = (k_i * {li} - {xw}) * r_tw
+I  {ci} = -{g}
+C  if {df} < 0.0:
+C      if {ci} < 0.0:
+C          {ci} = 0.0
+C  elif {df} > 0.0:
+C      if {ci} > 0.0:
+C          {ci} = 0.0
+""",
+    # Per-path command requests at the state after a step.
+    "paths": """\
+   @command cmd=cmd_d ci=cmd_i g=cmd_i
+i  cmd_i = 0.0
+""",
+    # The plant envelope: widen [c_lo, c_hi] to cmd, clamp cmd into [lo_s,
+    # hi_s] (inside [lo, hi]). Each pass leaves w_lo = max(c_lo, lo_s) and
+    # w_hi = min(c_hi, hi_s); one test skips a request in [w_lo, w_hi].
+    "envelope": """\
    if not w_lo <= cmd <= w_hi:
        if cmd < c_lo:
            c_lo = cmd
@@ -295,27 +308,9 @@ I  cmd += ci
            cmd = lo_s
        elif cmd > hi_s:
            cmd = hi_s
-   p{n} = (cmd - {p}) * r_tinv
-   a{n} = ({dpm} + c_pv * {p} - dp_event - d_load * {df}) * r_2h
-   b{n} = (-kappa_r * {df} - {dpm}) * r_tgov
-"""
-
-# Per-path command requests at the state after a step (plant pu).
-_PATHS = """\
-D  cmd_d = -ld * inv_rd
-d  cmd_d = 0.0
-I  cmd_i = -(k_i * li - xw) * r_tw
-C  if df < 0.0:
-C      if cmd_i < 0.0:
-C          cmd_i = 0.0
-C  elif df > 0.0:
-C      if cmd_i > 0.0:
-C          cmd_i = 0.0
-i  cmd_i = 0.0
-"""
-
-# One sample at time {t}, after "@paths".
-_RECORD = """\
+""",
+    # One sample at time {t}, after "@paths".
+    "record": """\
    t_out.append({t})
    f = f0 * (1.0 + df)
    f_out.append(f)
@@ -323,9 +318,12 @@ _RECORD = """\
    pv_out.append(c_pv * p)
    droop_out.append(c_pv * cmd_d)
    inertia_out.append(c_pv * cmd_i)
-"""
+""",
+}
 
 _STATES = ("df", "dpm", "ld", "li", "xw", "p")
+# A directive's "name=text" pairs; a text runs to the next pair.
+_PAIR = re.compile(r"(\w+)=(.*?)(?= \w+=|$)")
 
 
 @cache
@@ -337,33 +335,26 @@ def _compile_kernel(kind: str, clamp_on: bool,
              "i": not inertia_on, "C": clamp_on, "R": rate_on,
              "r": not rate_on}
 
-    def lines(block: str, indent: str, **names) -> list[str]:
-        return [indent + line[3:].format(**names)
-                for line in block.splitlines()
-                if all(holds[tag] for tag in line[:3].strip())]
-
-    source = []
-    for line in lines(_LOOP, ""):
-        code = line.lstrip()
-        indent = line[:len(line) - len(code)]
-        directive, _, arg = code.partition(" ")
-        if directive == "@paths":
-            source += lines(_PATHS, indent)
-        elif directive == "@record":
-            source += lines(_RECORD, indent, t=arg)
-        elif directive == "@stage":
-            n, _, h = arg.partition(" ")
-            holds["S"] = bool(h)
-            states = {s: "s" + s if h else s for s in _STATES}
-            source += lines(_STAGE, indent, n=n, h=h, m=int(n) - 1,
-                            **states)
-        else:
-            source.append(line)
+    def expand(block: str, indent: str, names: dict) -> Iterator[str]:
+        for line in block.splitlines():
+            if not all(holds[tag] for tag in line[:3].strip()):
+                continue
+            line = indent + line[3:].format(**names)
+            code = line.lstrip()
+            if not code.startswith("@"):
+                yield line
+                continue
+            sub, _, arg = code[1:].partition(" ")
+            inner = {**names, **dict(_PAIR.findall(arg))}
+            if sub == "stage":
+                holds["S"] = "h" in inner
+                inner |= {s: "s" * holds["S"] + s for s in _STATES}
+            yield from expand(_BLOCKS[sub], line[:-len(code)], inner)
 
     name = kind + "+clamp" * clamp_on + "+rate" * rate_on
+    source = "\n".join(expand(_LOOP, "", {s: s for s in _STATES}))
     namespace: dict[str, Callable[..., tuple]] = {}
-    exec(compile("\n".join(source), f"<gridfreq rk4 {name}>", "exec"),
-         namespace)
+    exec(compile(source, f"<gridfreq rk4 {name}>", "exec"), namespace)
     return namespace["kernel"]
 
 

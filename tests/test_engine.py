@@ -56,6 +56,37 @@ class TestRunSimulation:
         assert trace.f_hz[idx] == pytest.approx(d_only_analytic(6.0),
                                                 abs=1e-6)
 
+    def test_inertia_washout_closed_form(self):
+        # With c_pv = 1e-6 the inertia path barely moves the frequency, so
+        # x = df follows d_only_analytic: x = (dp/D)(exp(-a*s) - 1) with
+        # a = D/2H, s seconds after the event. The lag li and y = k*li - xw
+        # are linear in x, so the request -y/t_washout is a sum of
+        # exponentials with rates a, 1/t_lag and 1/t_washout.
+        s = d_only_scenario()
+        for path, value in [("controller.kind", "inertia"),
+                            ("system.pv.c_pv", 1e-6),
+                            ("system.pv.headroom", 0.5), ("sim.t_end", 3.0)]:
+            s = set_param(s, path, value)
+        icfg = s.controller.inertia
+        a, r_l, r_w = 1.0 / 6.0, 1.0 / icfg.t_lag, 1.0 / icfg.t_washout
+        # y' = k*li' - r_w*y, driven by k*li' = b*(exp(-r_l*s) - exp(-a*s)).
+        b = icfg.k * 0.02 * a * r_l / (r_l - a)
+
+        def request(t):
+            if t < 1.0:
+                return 0.0
+            e = [math.exp(-r * (t - 1.0)) for r in (a, r_l, r_w)]
+            y = b * ((e[1] - e[2]) / (r_w - r_l) - (e[0] - e[2]) / (r_w - a))
+            return -r_w * y
+
+        trace = run_simulation(s)
+        got = [v / 1e-6 for v in trace.dp_pv_inertia_pu]
+        assert max(got) > 0.03
+        # About 3e-7 at dt = 0.005; a washout time constant 10% off
+        # reads about 1e-3.
+        assert max(abs(v - request(t))
+                   for t, v in zip(trace.t, got)) < 1e-5
+
     def test_determinism_bitwise(self):
         s = preset_scenario("ei80", controller="combined")
         t1 = run_simulation(s)

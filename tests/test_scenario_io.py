@@ -335,6 +335,33 @@ class TestMetricsCsv:
         assert sink.getvalue() == expected.getvalue()
 
 
+class TestCsvRowErrors:
+    # Each bad row is line 4: the trace has a good row and a blank line
+    # before it, the metrics table a good row whose quoted name spans
+    # lines 2 and 3.
+    READERS = {
+        "trace": (read_trace_csv, TRACE_HEADER + "\n0,60,0,0,0,0,0\n\n"),
+        "metrics": (read_metrics_csv,
+                    METRICS_HEADER + '\n"a\nb",droop,59,2,0.5,59\n'),
+    }
+
+    @pytest.mark.parametrize("table, bad, message", [
+        ("trace", "1,60,0,0,0,0", "expected 7 fields, got 6"),
+        ("trace", "1,60,0,0,0,0,0,0", "expected 7 fields, got 8"),
+        ("trace", "1,60,x,0,0,0,0", "could not convert string to float: 'x'"),
+        ("metrics", "c,droop,59,2,0.5", "expected 6 fields, got 5"),
+        ("metrics", "c,droop,59,2,0.5,59,1", "expected 6 fields, got 7"),
+        ("metrics", "c,droop,59,2,x,59",
+         "could not convert string to float: 'x'"),
+    ], ids=["trace-short", "trace-long", "trace-not-a-number",
+            "metrics-short", "metrics-long", "metrics-not-a-number"])
+    def test_bad_row_names_its_line(self, table, bad, message):
+        read, head = self.READERS[table]
+        with pytest.raises(ValueError) as info:
+            read(io.StringIO(head + bad + "\n0,60,0,0,0,0,0\n"))
+        assert str(info.value) == f"{table} CSV line 4: {message}"
+
+
 class TestSchema:
     def test_param_paths_are_exact(self):
         assert valid_param_paths() == [

@@ -69,12 +69,17 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         # checked together (sim.dt and sim.sample_interval) are checked
         # with their final values, in any order.
         doc = dataclasses.asdict(scenario)
+        paths = set()
         for item in args.set:
             path, sep, raw = item.partition("=")
             if not sep:
                 raise ScenarioError(
                     f"--set expects PATH=VALUE, got {item!r}")
             path = path.strip()
+            if path in paths:
+                raise ScenarioError(
+                    f"--set {path} is given more than once")
+            paths.add(path)
             value = parse_set_value(path, raw)
             *sections, leaf = path.split(".")
             section = doc

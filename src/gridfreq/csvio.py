@@ -5,12 +5,14 @@ runs of the same command produce byte-identical files, suitable for
 golden-file comparisons. A scenario or controller name holding a comma,
 quote, carriage return or newline is written quoted, as the ``csv`` module
 does, and the ``csv`` reader reads it back unchanged. A row that does not
-parse is rejected with a ``ValueError`` that names its line.
+parse, a value that is not finite and a trace time that does not increase
+are rejected with a ``ValueError`` that names the line (and the column).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from typing import Iterable, TextIO
 
 from .engine import Trace
@@ -41,6 +43,16 @@ def _bad_row(table: str, line_no: int, fields: list[str], expected: int,
     return ValueError(f"{table} CSV line {line_no}: {why}")
 
 
+def _check_finite(table: str, line_no: int, names: Iterable[str],
+                  values: Iterable[float]) -> None:
+    # Called only when the row's sum is not finite, which a sum of finite
+    # values near 1e308 can also be.
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise ValueError(f"{table} CSV line {line_no}: {name} must be "
+                             f"finite, got {value}")
+
+
 def write_trace_csv(trace: Trace, sink: TextIO) -> None:
     """Write one row per sample with the fixed trace header."""
     sink.write(TRACE_HEADER + "\n")
@@ -57,6 +69,7 @@ def read_trace_csv(source: TextIO) -> Trace:
     if header != TRACE_HEADER:
         raise ValueError(f"unexpected trace header: {header!r}")
     trace = Trace()
+    t_prev = -math.inf
     for n, line in enumerate(map(str.strip, source), 2):
         if not line:
             continue
@@ -64,6 +77,13 @@ def read_trace_csv(source: TextIO) -> Trace:
             t, f, r, gov, pv, pvd, pvi = map(float, line.split(","))
         except ValueError as exc:
             raise _bad_row("trace", n, line.split(","), 7, exc) from None
+        if not math.isfinite(t + f + r + gov + pv + pvd + pvi):
+            _check_finite("trace", n, TRACE_HEADER.split(","),
+                          (t, f, r, gov, pv, pvd, pvi))
+        if not t > t_prev:
+            raise ValueError(f"trace CSV line {n}: t_s must increase, got "
+                             f"{t} after {t_prev}")
+        t_prev = t
         trace.t.append(t)
         trace.f_hz.append(f)
         trace.rocof_hz_per_s.append(r)
@@ -96,12 +116,16 @@ def read_metrics_csv(source: TextIO) -> list[tuple[str, str,
     for row in reader:
         if not row:
             continue
+        # line_num ends at the row's last line, after the header's.
         try:
             scenario, controller, nadir, t_nadir, rocof, settling = row
-            rows.append((scenario, controller, FrequencyMetrics(
-                float(nadir), float(t_nadir), float(rocof), float(settling))))
+            values = [float(nadir), float(t_nadir), float(rocof),
+                      float(settling)]
         except ValueError as exc:
-            # line_num ends at the row's last line, after the header's.
             raise _bad_row("metrics", 1 + reader.line_num, row, 6,
                            exc) from None
+        if not math.isfinite(sum(values)):
+            _check_finite("metrics", 1 + reader.line_num,
+                          METRICS_HEADER.split(",")[2:], values)
+        rows.append((scenario, controller, FrequencyMetrics(*values)))
     return rows

@@ -32,9 +32,15 @@ its states at exactly 0.0. Each variant is compiled on first use and cached
 for the process, so importing the package compiles none; its code object
 is named after the variant (``<gridfreq rk4 combined+clamp+rate>``, say),
 as tracebacks and profiles show. ``run_simulation`` validates the inputs,
-hoists the coefficients and calls the loop. ``tests/engine_reference.py``
-keeps the earlier closure form of the loop as the test oracle; the two
-agree bit for bit.
+hoists the coefficients and calls the loop. The tests check the loops
+through ``run_simulation`` itself, not against a second copy: metamorphic
+relations and a cross-implementation oracle against the step test's
+controller (``tests/test_metamorphic.py``); closed forms of the
+damping-only swing and the inertia washout, fourth-order convergence
+where nothing switches, and the exact ramp of a bound rate limit
+(``tests/test_engine.py``); the benchmark's seed-0 pins of every output
+bit (``tests/test_perfbench.py``; its ``study`` pool runs all 11 loops);
+and a ledger of the opcodes each loop executes per step.
 
 Identical inputs produce bit-identical traces: the loop is plain scalar
 float arithmetic in a fixed order with no threading and no platform-varying

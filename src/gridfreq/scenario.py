@@ -13,10 +13,10 @@ of a run: the engine, the sizer, the sweeps and the CLI take the controller
 kind and the integration settings from it. The config dataclasses are the
 schema: a section's keys are its dataclass's fields, and each value passes
 unchanged to the dataclass, whose annotations state and check its type and
-constraint; unknown keys are rejected so typos fail loudly. A named
-preset (``ei80``, ``ercot80``) is a partial document of the same shape,
-merged beneath the given one object by object; ``preset_scenario`` builds
-one with a controller kind. Every section field, the controller kind
+constraint; unknown and repeated keys are rejected so typos fail loudly. A
+named preset (``ei80``, ``ercot80``) is a partial document of the same
+shape, merged beneath the given one object by object; ``preset_scenario``
+builds one with a controller kind. Every section field, the controller kind
 included, also has a dotted path (``system.h_sys``, ``controller.kind``)
 for ``set_param``, ``--set`` and sweeps. Every rejected field is named by
 its dotted path: ``system.pv.headroom must be in [0, 1), got 1.5``.
@@ -340,7 +340,7 @@ _SCHEMA: dict[str, type] = {
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario JSON document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: "
@@ -349,6 +349,17 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     return scenario_from_dict(doc)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    # json.loads would keep the last of a repeated key's values.
+    doc: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ScenarioError(f"repeated key {key!r} in the scenario "
+                                f"document")
+        doc[key] = value
+    return doc
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:

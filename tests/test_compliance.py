@@ -16,6 +16,7 @@ from gridfreq.compliance import (REACTION_FRACTION, RISE_FRACTIONS,
                                  run_step_test)
 from gridfreq.scenario import (ControllerSpec, DroopConfig, InertiaConfig,
                                PVPlantConfig, SimConfig)
+from work_count import pinned, step_work
 from zoh_reference import reference_step_test, signed
 
 # The horizon of the step tests that take no other: 20 s settles every
@@ -521,3 +522,36 @@ class TestThresholdValidation:
     def test_non_positive_threshold_rejected(self):
         with pytest.raises(ValueError):
             ComplianceThresholds(max_rise=0.0)
+
+
+class TestWorkCount:
+    """The opcodes ``gridfreq.compliance`` executes per iterated step of
+    the step test (see ``tests/work_count.py``). A change to the loop
+    updates the table and states the change per case."""
+
+    # Opcodes of steps 769-1280 at dt 0.001 and sample stride 2, the step
+    # at 0.256 s on a chunk boundary, by Python version. None of those
+    # 512 steps settles, so every one is iterated.
+    OPCODES = {(3, 11): {
+        "droop": 32854, "droop+rate": 40022, "inertia": 45142,
+        "inertia+rate": 52310, "combined": 53334, "combined+rate": 60502}}
+
+    def test_opcodes_per_iterated_step(self):
+        table = {}
+        for kind in ("droop", "inertia", "combined"):
+            for rate in (None, 0.5):
+                plant = PVPlantConfig(headroom=0.1, rate_limit=rate)
+
+                def run(n, kind=kind, plant=plant):
+                    sim = SimConfig(dt=0.001, sample_interval=0.002,
+                                    t_end=0.001 * (256 + n))
+                    run_step_test(ControllerSpec(kind=kind), plant, sim=sim,
+                                  step_time=0.256)
+
+                name = kind + "+rate" * (rate is not None)
+                table[name], repeats = step_work(
+                    run, 512, gridfreq.compliance.__file__)
+                assert repeats, name
+        assert table == pinned(table, self.OPCODES)
+        kinds = [table[kind] for kind in ("droop", "inertia", "combined")]
+        assert kinds == sorted(set(kinds))

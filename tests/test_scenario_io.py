@@ -3,12 +3,14 @@ import dataclasses
 import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridfreq.cli import main
 from gridfreq.csvio import (METRICS_HEADER, TRACE_HEADER, read_metrics_csv,
                             read_trace_csv, write_metrics_csv,
                             write_trace_csv)
@@ -360,6 +362,62 @@ class TestCsvRowErrors:
         with pytest.raises(ValueError) as info:
             read(io.StringIO(head + bad + "\n0,60,0,0,0,0,0\n"))
         assert str(info.value) == f"{table} CSV line 4: {message}"
+
+
+class TestSilentInput:
+    """Input that the readers would otherwise take as something it does
+    not say: each is rejected, and the message names the culprit."""
+
+    GOOD_ROW = "0,60,0,0,0,0,0\n"
+
+    @pytest.mark.parametrize("source, text, message", [
+        ("document", '{"preset": "ercot80", "system": {"h_sys": 9.0}, '
+                     '"system": {"d_load": 2.0}}',
+         "repeated key 'system' in the scenario document"),
+        ("document", '{"preset": "ercot80", '
+                     '"system": {"h_sys": 9.0, "h_sys": 1.5}}',
+         "repeated key 'h_sys' in the scenario document"),
+        ("cli", "headroom --preset ercot80 --controller droop --target "
+                "59.5 --set system.h_sys=9 --set system.h_sys=1.5",
+         "--set system.h_sys is given more than once"),
+        ("trace", GOOD_ROW + "1,nan,0,0,0,0,0\n",
+         "trace CSV line 3: f_hz must be finite, got nan"),
+        ("trace", "0,60,-inf,0,0,0,0\n",
+         "trace CSV line 2: rocof_hz_per_s must be finite, got -inf"),
+        ("trace", "1,60,0,0,0,0,0\n" + GOOD_ROW,
+         "trace CSV line 3: t_s must increase, got 0.0 after 1.0"),
+        ("trace", GOOD_ROW + GOOD_ROW,
+         "trace CSV line 3: t_s must increase, got 0.0 after 0.0"),
+        ("metrics", "c,droop,nan,2,0.5,59\n",
+         "metrics CSV line 2: nadir_hz must be finite, got nan"),
+        ("metrics", "c,droop,59,2,0.5,-inf\n",
+         "metrics CSV line 2: settling_freq_hz must be finite, got -inf"),
+    ], ids=["document-repeated-section", "document-repeated-field",
+            "cli-repeated-set", "trace-nan", "trace-inf",
+            "trace-time-backwards", "trace-time-repeated", "metrics-nan",
+            "metrics-inf"])
+    def test_rejected(self, source, text, message, capsys):
+        if source == "cli":
+            assert main(shlex.split(text)) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            return
+        read = {"document": parse_scenario,
+                "trace": lambda text: read_trace_csv(
+                    io.StringIO(TRACE_HEADER + "\n" + text)),
+                "metrics": lambda text: read_metrics_csv(
+                    io.StringIO(METRICS_HEADER + "\n" + text))}[source]
+        with pytest.raises(ValueError) as info:
+            read(text)
+        assert str(info.value) == message
+
+    def test_finite_row_whose_sum_overflows_is_read(self):
+        # The readers test a row's sum first; 1e308 + 1e308 is inf.
+        trace = read_trace_csv(io.StringIO(
+            TRACE_HEADER + "\n0,1e308,1e308,0,0,0,0\n"))
+        assert list(trace.rocof_hz_per_s) == [1e308]
+        (_, _, m), = read_metrics_csv(io.StringIO(
+            METRICS_HEADER + "\nc,droop,1e308,2,1e308,59\n"))
+        assert m.max_abs_rocof_hz_per_s == 1e308
 
 
 class TestSchema:

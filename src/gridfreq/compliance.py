@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
 from .scenario import (_KIND_PATHS, ControllerSpec, Positive, PVPlantConfig,
-                       SimConfig, check_fields)
+                       ResponsiveKind, SimConfig, check_fields)
 
 # The most commands the step test holds at once; it bounds their memory and
 # is the grain at which a settled response stops being iterated.
@@ -220,9 +220,9 @@ def run_step_test(controller_spec: ControllerSpec,
     the 3 samples that grading needs. Kind ``"none"`` has no response to test
     and raises ``ValueError``.
     """
-    if controller_spec.kind == "none":
-        raise ValueError("controller.kind must be one of droop, inertia, "
-                         "combined, got 'none'")
+    rule, responsive = ResponsiveKind.__metadata__
+    if not responsive(kind := controller_spec.kind):
+        raise ValueError(f"controller.kind must be {rule}, got {kind!r}")
     thr = thresholds or ComplianceThresholds()
     dt = sim.dt
     n_steps, stride, k_step = sim.step_grid(step_time, "step_time")

@@ -229,6 +229,10 @@ class Contingency:
 # its commands 256 at a time).
 _MAX_STEPS = 10**7
 
+# The trace CSV writes t_s with six decimals, so a finer sample interval
+# would write repeated times, which the trace reader rejects.
+SampleInterval = Annotated[float, ">= 1e-06", lambda v: 1e-6 <= v < math.inf]
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -236,7 +240,7 @@ class SimConfig:
 
     dt: Positive = 0.005
     t_end: Positive = 60.0
-    sample_interval: Positive = 0.01
+    sample_interval: SampleInterval = 0.01
     rocof_window: Positive = 0.1
 
     def __post_init__(self) -> None:

@@ -519,10 +519,6 @@ class TestThresholdValidation:
     def test_default_step_magnitude(self):
         assert ComplianceThresholds().step_magnitude == 0.002
 
-    def test_non_positive_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            ComplianceThresholds(max_rise=0.0)
-
 
 class TestWorkCount:
     """The opcodes ``gridfreq.compliance`` executes per iterated step of

@@ -473,12 +473,6 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(dt=0.01, sample_interval=0.005)
 
-    def test_positive_fields(self):
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(rocof_window=0.0)
-
     @pytest.mark.parametrize("name,value", [
         ("t_end", math.inf), ("sample_interval", math.inf),
         ("dt", math.nan), ("dt", math.inf), ("rocof_window", math.nan),

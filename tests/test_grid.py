@@ -30,14 +30,6 @@ class TestGovernorRhs:
             if k <= k_event + 3:
                 assert slope == pytest.approx(rate, rel=5e-3)
 
-    def test_invalid_fleet(self):
-        with pytest.raises(ValueError):
-            GovernorFleet(kappa=1.5)
-        with pytest.raises(ValueError):
-            GovernorFleet(r_gov=0.0)
-        with pytest.raises(ValueError):
-            GovernorFleet(t_gov=-1.0)
-
 
 def balance(kind="none", dp=0.02, r=0.05, **system):
     """A scenario for the steady-state balance, h_sys 3 s."""
@@ -115,17 +107,3 @@ class TestPresets:
             s = preset_scenario(name)
             assert s.system.h_sys > 0
             assert s.contingency.dp > 0
-
-
-class TestParamValidation:
-    def test_h_sys_positive(self):
-        with pytest.raises(ValueError, match="h_sys must be > 0"):
-            SystemParams(h_sys=-1.0)
-
-    def test_d_load_non_negative(self):
-        with pytest.raises(ValueError):
-            SystemParams(h_sys=2.0, d_load=-0.1)
-
-    def test_t_event_non_negative(self):
-        with pytest.raises(ValueError):
-            Contingency(dp=0.01, t_event=-1.0)

@@ -63,12 +63,6 @@ class TestDroopController:
             assert settle(droop(cfg), df) == pytest.approx(expected,
                                                            abs=1e-9)
 
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            DroopConfig(r=0.0)
-        with pytest.raises(ValueError):
-            DroopConfig(deadband=-1e-4)
-
 
 class TestInertiaController:
     def test_constant_deviation_washes_out(self):
@@ -113,12 +107,6 @@ class TestInertiaController:
             t = (k + 1) * dt
             df_hz = -0.15 * min(t / 0.5, 1.0) + 0.14 * max(0.0, (t - 0.5)) / 1.5
             assert ctl(min(df_hz, -0.01) / 60.0) >= 0.0
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            InertiaConfig(k=-1.0)
-        with pytest.raises(ValueError):
-            InertiaConfig(t_washout=0.0)
 
 
 class TestCombinedController:
@@ -314,14 +302,6 @@ class TestPVPlant:
         assert cfg.operating_point == pytest.approx(0.72)
         assert cfg.up_limit == pytest.approx(0.18)
         assert cfg.down_limit == pytest.approx(-0.72)
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            PVPlantConfig(headroom=1.0)
-        with pytest.raises(ValueError):
-            PVPlantConfig(c_pv=0.0)
-        with pytest.raises(ValueError):
-            PVPlantConfig(t_inv=0.0)
 
 
 class TestControllerFactory:

@@ -18,6 +18,7 @@ from gridfreq.engine import Trace, run_simulation
 from gridfreq.headroom import compare_controllers
 from gridfreq.metrics import FrequencyMetrics
 from gridfreq.scenario import (_SCHEMA, Contingency, ControllerSpec,
+                               DroopConfig, GovernorFleet, InertiaConfig,
                                PVPlantConfig, Scenario, ScenarioError,
                                SimConfig, SystemParams, _field_contracts,
                                parse_scenario, parse_set_value,
@@ -244,6 +245,21 @@ class TestTraceCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(io.StringIO("time,freq\n"))
+
+    @pytest.mark.parametrize("dt", [1e-6, 1.5e-6, 2e-6, 3e-6, 1e-5])
+    def test_finest_sample_intervals_read_back(self, dt):
+        # t_s has six decimals; sim.sample_interval >= 1e-6 keeps it
+        # increasing. 200 samples, one every step.
+        s = scenario_from_dict({
+            "preset": "ei80", "contingency": {"t_event": 100 * dt},
+            "sim": {"dt": dt, "sample_interval": dt, "t_end": 199 * dt}})
+        sink = io.StringIO()
+        write_trace_csv(run_simulation(s), sink)
+        rows = sink.getvalue().splitlines()[1:]
+        times = [float(row.split(",")[0]) for row in rows]
+        assert len(times) == 200
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert list(read_trace_csv(io.StringIO(sink.getvalue())).t) == times
 
     def test_rows_match_per_value_format(self):
         # Negative zero, values that round to zero from either side, the
@@ -515,3 +531,28 @@ class TestPresetDocuments:
             values = [float(cell) for cell in cells.split("|")]
             assert values == [s.system.h_sys, s.system.d_load,
                               s.contingency.dp, s.system.pv.headroom], name
+
+    def test_readme_defaults_match(self):
+        # Each `name=value` of README's defaults paragraph, under its
+        # section's label, is that field's dataclass default, and every
+        # field with a default appears once.
+        text = " ".join((Path(__file__).resolve().parent.parent
+                         / "README.md").read_text().split())
+        listed = text.split("Defaults when keys are omitted: ")[1]
+        sections = {"system": SystemParams, "governor": GovernorFleet,
+                    "plant": PVPlantConfig, "controller": ControllerSpec,
+                    "droop": DroopConfig, "inertia": InertiaConfig,
+                    "contingency": Contingency, "sim": SimConfig}
+        stated = [(sections[part.split()[0]], name, value)
+                  for part in listed.split(". ")[0].split("; ")
+                  for name, value in re.findall(r"`(\w+)=([^`]*)`", part)]
+        defaults = {(cls, f.name): f.default for cls in sections.values()
+                    for f in dataclasses.fields(cls)
+                    if f.default is not dataclasses.MISSING
+                    and not dataclasses.is_dataclass(f.default)}
+        keys = [(cls, name) for cls, name, _ in stated]
+        assert len(keys) == len(set(keys)) and set(keys) == set(defaults)
+        for cls, name, value in stated:
+            default = defaults[cls, name]
+            assert (float(value) == default if type(default) is float
+                    else value == str(default).lower()), (cls, name)

@@ -59,27 +59,30 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
                    + ", ".join(CONTROLLER_KINDS))
 
 
-def _load_scenario(args: argparse.Namespace) -> Scenario:
+def _load_scenario(args: argparse.Namespace,
+                   later: tuple[str, str] | None = None) -> Scenario:
+    """The scenario the flags describe. ``later`` is (flag, path) for a
+    field the subcommand itself sets afterwards, as sweep's ``--param``."""
     if args.preset:
         scenario = preset_scenario(args.preset)
     else:
         scenario = parse_scenario(Path(args.config).read_text())
+    setters = {}  # path -> the flag that sets it
     if args.set:
         # All overrides go into the document before one build, so fields
         # checked together (sim.dt and sim.sample_interval) are checked
         # with their final values, in any order.
         doc = dataclasses.asdict(scenario)
-        paths = set()
         for item in args.set:
             path, sep, raw = item.partition("=")
             if not sep:
                 raise ScenarioError(
                     f"--set expects PATH=VALUE, got {item!r}")
             path = path.strip()
-            if path in paths:
+            if path in setters:
                 raise ScenarioError(
                     f"--set {path} is given more than once")
-            paths.add(path)
+            setters[path] = f"--set {path}"
             value = parse_set_value(path, raw)
             *sections, leaf = path.split(".")
             section = doc
@@ -87,6 +90,15 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
                 section = section[name]
             section[leaf] = value
         scenario = scenario_from_dict(doc)
+    # A field that two flags set would keep only the later value.
+    claims = [later] if later else []
+    if args.controller is not None:
+        claims.insert(0, ("--controller", "controller.kind"))
+    for flag, path in claims:
+        if path in setters:
+            raise ScenarioError(f"{setters[path]} and {flag} both set "
+                                f"{path}; one would replace the other")
+        setters[path] = flag
     if args.controller is not None:
         scenario = set_param(scenario, "controller.kind", args.controller)
     return scenario
@@ -144,7 +156,8 @@ def _cmd_compliance(args: argparse.Namespace) -> int:
 
 
 def _cmd_headroom(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
+    scenario = _load_scenario(args, ("the headroom command",
+                                     "system.pv.headroom"))
     controller = scenario.controller.kind
     query = HeadroomQuery(scenario=scenario, controller=controller,
                           target_nadir_hz=args.target,
@@ -160,7 +173,7 @@ def _cmd_headroom(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
+    scenario = _load_scenario(args, (f"--param {args.param}", args.param))
     values = [parse_set_value(args.param, v)
               for v in args.values.split(",") if v.strip()]
     if not values:
@@ -255,6 +268,3 @@ def _derived_metrics_path(out: str) -> str:
                if path.suffix != ".csv"
                else path.with_name(path.stem + ".metrics.csv"))
 
-
-if __name__ == "__main__":
-    sys.exit(main())

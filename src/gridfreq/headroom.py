@@ -16,13 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Annotated, Any, Callable
 
 from .engine import run_simulation
 from .metrics import (FrequencyMetrics, _first_index_at_or_after,
                       compute_frequency_metrics)
-from .scenario import (CONTROLLER_KINDS, FractionBelowOne, Positive,
-                       ResponsiveKind, Scenario, check_fields, set_param)
+from .scenario import (CONTROLLER_KINDS, Positive, ResponsiveKind, Scenario,
+                       check_fields, set_param)
+
+# The sizer's top headroom: below 1, as the plant headroom is, and above 0,
+# since the tolerance (> 0) must lie below it.
+OpenFraction = Annotated[float, "in (0, 1)", lambda v: 0.0 < v < 1.0]
 
 
 class UnattainableError(RuntimeError):
@@ -41,7 +45,7 @@ class HeadroomQuery:
     scenario: Scenario
     controller: ResponsiveKind
     target_nadir_hz: float
-    h_max: FractionBelowOne = 0.5
+    h_max: OpenFraction = 0.5
     tolerance: Positive = 0.001
 
     def __post_init__(self) -> None:

@@ -130,22 +130,33 @@ class TestSimulate:
         ("sim.dt=0.003", "sim.sample_interval=0.009", "sim.t_end=9"),
         ("sim.sample_interval=0.009", "sim.t_end=9", "sim.dt=0.003"),
         ("sim.t_end=9", "sim.dt=0.003", "sim.sample_interval=0.009"),
-        ("sim.dt=0.02", "sim.sample_interval=0.02")])
+        ("sim.dt=0.02", "sim.sample_interval=0.02"),
+        ("preset=ercot80", "controller.kind=combined",
+         "system.pv.headroom=0.08", "sim.t_end=20")])
     def test_set_overrides_are_checked_together(self, tmp_path, sets):
-        # Each override alone breaks a sim rule against the other fields'
-        # values, so the overrides are checked only once all are applied,
-        # and they run as the same settings given as a document.
-        sim = {}
+        # Each sim override alone breaks a sim rule against the other
+        # fields' values, so the overrides are checked only once all are
+        # applied. Given as --preset (ei80 by default), --controller and
+        # --set flags, the settings run as the same document.
+        doc, flags = {"preset": "ei80"}, []
         for item in sets:
             path, value = item.split("=")
-            sim[path.removeprefix("sim.")] = float(value)
-        doc = tmp_path / "doc.json"
-        doc.write_text(json.dumps({"preset": "ei80", "sim": sim}))
-        assert run_cli("simulate", "--config", str(doc), "--out",
+            *sections, leaf = path.split(".")
+            section = doc
+            for name in sections:
+                section = section.setdefault(name, {})
+            if path == "controller.kind":
+                flags += ["--controller", value]
+            elif path != "preset":
+                value = float(value)
+                flags += ["--set", item]
+            section[leaf] = value
+        config = tmp_path / "doc.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli("simulate", "--config", str(config), "--out",
                        str(tmp_path / "doc.csv")) == 0
-        flags = [arg for item in sets for arg in ("--set", item)]
-        assert run_cli("simulate", "--preset", "ei80", *flags, "--out",
-                       str(tmp_path / "flags.csv")) == 0
+        assert run_cli("simulate", "--preset", doc["preset"], *flags,
+                       "--out", str(tmp_path / "flags.csv")) == 0
         for doc_file, flags_file in [("doc.csv", "flags.csv"),
                                      ("doc.metrics.csv",
                                       "flags.metrics.csv")]:

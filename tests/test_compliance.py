@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -291,6 +292,40 @@ class TestOracleDifferential:
 
 
 class TestEvaluateCompliance:
+    @pytest.mark.parametrize("T, horizon", [(0.2, 8.0), (1.0, 30.0),
+                                            (5.0, 120.0)])
+    def test_first_order_closed_forms(self, T, horizon):
+        # At T = 1: -ln 0.98 = 0.0202, ln 9 = 2.1972, -ln 0.025 = 3.6889.
+        m = evaluate_compliance(synthetic_first_order(T, horizon)).metrics
+        tol = 2 * 0.01  # two samples
+        assert m.reaction_time_s == pytest.approx(-T * math.log(0.98),
+                                                  abs=tol)
+        assert m.rise_time_s == pytest.approx(T * math.log(9.0), abs=tol)
+        assert m.settling_time_s == pytest.approx(-T * math.log(0.025),
+                                                  abs=tol)
+        assert m.overshoot == 0.0
+        assert m.final_value == pytest.approx(1.0, abs=1e-3)
+
+    def test_second_order_overshoot(self):
+        z, wn = 0.5, 1.0
+        wd = wn * math.sqrt(1 - z * z)
+        t = [i * 0.01 for i in range(4001)]
+        y = [1 - math.exp(-z * wn * ti)
+             * (math.cos(wd * ti) + z / wd * math.sin(wd * ti))
+             for ti in t]
+        m = evaluate_compliance(StepResponse(t, y, 0.0, 0.002)).metrics
+        expected = math.exp(-math.pi * z / math.sqrt(1 - z * z))
+        assert m.overshoot == pytest.approx(expected, abs=0.005)
+        assert m.overshoot == pytest.approx(0.1630, abs=0.005)
+
+    def test_negative_step_direction(self):
+        resp = synthetic_first_order(1.0)
+        falling = dataclasses.replace(resp, y=[-y for y in resp.y])
+        m = evaluate_compliance(falling).metrics
+        assert m.final_value == pytest.approx(-1.0, abs=1e-3)
+        assert m.rise_time_s == pytest.approx(math.log(9.0), abs=0.02)
+        assert m.overshoot == 0.0
+
     def test_first_order_t1_passes_defaults(self):
         report = evaluate_compliance(synthetic_first_order(1.0))
         assert report.passed
@@ -316,12 +351,15 @@ class TestEvaluateCompliance:
         assert not report.passed
         assert report.failure_reason == "no_response"
         assert report.criteria == {}
+        assert report.metrics is None
 
     def test_unsettled_response_is_overall_fail(self):
+        # T = 5 cut at 20 s still moves > 0.5% of the change in its tail.
         report = evaluate_compliance(synthetic_first_order(5.0, 20.0))
         assert not report.passed
         assert report.failure_reason == "not_settled"
         assert report.criteria == {}
+        assert report.metrics is None
         assert "metrics" not in report.as_dict()
 
     def test_ending_outside_a_band_below_the_tail_check_is_not_settled(

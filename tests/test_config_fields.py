@@ -122,8 +122,8 @@ RULES = {
     ">= 0": ((-1e-9, -1.0), (0.0,), """DroopConfig.deadband InertiaConfig.k
         InertiaConfig.deadband SystemParams.d_load Contingency.t_event"""),
     "in [0, 1]": ((-0.1, 1.5), (0.0, 1.0), "GovernorFleet.kappa"),
-    "in [0, 1)": ((1.0, -0.1), (0.0,),
-                  "PVPlantConfig.headroom HeadroomQuery.h_max"),
+    "in [0, 1)": ((1.0, -0.1), (0.0,), "PVPlantConfig.headroom"),
+    "in (0, 1)": ((1.0, 0.0), (), "HeadroomQuery.h_max"),
     ">= 1e-06": ((5e-7, 0.0), (1e-6,), "SimConfig.sample_interval"),
     "one of none, droop, inertia, combined": (("sync",), (),
                                               "ControllerSpec.kind"),
@@ -163,15 +163,8 @@ def test_value_outside_rule_is_rejected(field, bad):
     (field, bound) for field, rule in RULE_OF.items()
     for bound in RULES[rule][1]])
 def test_inclusive_bound_is_accepted(field, bound):
-    # VALID meets each rule between two fields at a bound (see SimConfig),
-    # except h_max's: no tolerance (> 0) lies below an h_max of 0, so that
-    # rule rejects it, naming tolerance, not h_max.
-    if field != "HeadroomQuery.h_max":
-        assert getattr(build(field, bound), field.split(".")[1]) == bound
-    else:
-        with pytest.raises(ValueError, match=r"^tolerance must be below "
-                                             r"h_max \(0\.0\), got 0\.001$"):
-            build(field, bound)
+    # VALID meets each rule between two fields at a bound (see SimConfig).
+    assert getattr(build(field, bound), field.split(".")[1]) == bound
 
 
 def nested(path, value):

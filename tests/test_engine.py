@@ -470,7 +470,8 @@ class TestSimConfigValidation:
             SimConfig(dt=1e-6, t_end=10.000001, sample_interval=1e-6)
 
     def test_sample_interval_not_smaller_than_dt(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sample_interval must be >= "
+                                             r"dt \(0\.01\), got 0\.005$"):
             SimConfig(dt=0.01, sample_interval=0.005)
 
     @pytest.mark.parametrize("name,value", [

@@ -9,9 +9,11 @@ import gridfreq.headroom as headroom
 from gridfreq.engine import run_simulation
 from gridfreq.headroom import (HeadroomQuery, NonMonotoneError,
                                UnattainableError, bisect_min_headroom,
-                               min_headroom_for_nadir, sweep_param)
+                               compare_controllers, min_headroom_for_nadir,
+                               sweep_param)
 from gridfreq.metrics import compute_frequency_metrics
-from gridfreq.scenario import preset_scenario, scenario_from_dict, set_param
+from gridfreq.scenario import (CONTROLLER_KINDS, preset_scenario,
+                               scenario_from_dict, set_param)
 
 
 def preset(name, kind="none"):
@@ -199,15 +201,19 @@ class TestMinHeadroomForNadir:
 
     def test_query_validation(self):
         scenario = preset_scenario("ercot80")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tolerance must be below "
+                                             r"h_max \(0\.5\), got 0\.6$"):
             HeadroomQuery(scenario=scenario, controller="combined",
                           target_nadir_hz=59.5, h_max=0.5, tolerance=0.6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^target_nadir_hz must be below "
+                                 r"scenario\.system\.f0 \(60\.0\), got "
+                                 r"61\.0$"):
             HeadroomQuery(scenario=scenario, controller="combined",
                           target_nadir_hz=61.0)
 
     @pytest.mark.parametrize("changes, message", [
-        ({"h_max": 1.0}, r"^h_max must be in \[0, 1\), got 1\.0"),
+        ({"h_max": 1.0}, r"^h_max must be in \(0, 1\), got 1\.0$"),
         pytest.param({"controller": "none"},
                      "^controller must be one of droop, inertia, "
                      "combined, got 'none'$",
@@ -428,6 +434,15 @@ class TestSweepParam:
         rows1 = sweep_param(scenario, "system.pv.headroom", [0.0, 0.05])
         rows2 = sweep_param(scenario, "system.pv.headroom", [0.0, 0.05])
         assert rows1 == rows2
+
+
+class TestCompareControllers:
+    def test_fixed_order_and_determinism(self):
+        s = preset("ei80")
+        t1 = compare_controllers(s)
+        t2 = compare_controllers(s)
+        assert tuple(t1) == CONTROLLER_KINDS
+        assert t1 == t2
 
 
 @st.composite

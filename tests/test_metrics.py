@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfreq.compliance import StepResponse, evaluate_compliance
 from gridfreq.engine import Trace, run_simulation
-from gridfreq.headroom import compare_controllers
 from gridfreq.metrics import (_first_index_at_or_after,
                               compute_frequency_metrics)
-from gridfreq.scenario import CONTROLLER_KINDS, preset_scenario, set_param
+from gridfreq.scenario import preset_scenario, set_param
 from trace_probes import initial_rocof, max_abs_rocof_within
 
 
@@ -135,91 +133,3 @@ class TestFrequencyMetrics:
         with pytest.raises(TypeError, match="f0"):
             compute_frequency_metrics(trace, s.contingency.t_event)
 
-
-def first_order(T, horizon, si=0.01):
-    t = [i * si for i in range(round(horizon / si) + 1)]
-    y = [1.0 - math.exp(-ti / T) for ti in t]
-    return t, y
-
-
-def grade(t, y, step_time=0.0):
-    """The compliance report of a sampled response, default thresholds."""
-    return evaluate_compliance(StepResponse(t, y, step_time, 0.002))
-
-
-class TestStepResponseMetrics:
-    @pytest.mark.parametrize("T, horizon", [(0.2, 8.0), (1.0, 30.0),
-                                            (5.0, 120.0)])
-    def test_first_order_closed_forms(self, T, horizon):
-        si = 0.01
-        t, y = first_order(T, horizon, si)
-        m = grade(t, y).metrics
-        tol = 2 * si
-        assert m.reaction_time_s == pytest.approx(-T * math.log(0.98),
-                                                  abs=tol)
-        assert m.rise_time_s == pytest.approx(T * math.log(9.0), abs=tol)
-        assert m.settling_time_s == pytest.approx(-T * math.log(0.025),
-                                                  abs=tol)
-        assert m.overshoot == 0.0
-        assert m.final_value == pytest.approx(1.0, abs=1e-3)
-
-    def test_first_order_unit_values(self):
-        t, y = first_order(1.0, 30.0)
-        m = grade(t, y).metrics
-        assert m.reaction_time_s == pytest.approx(0.0202, abs=0.02)
-        assert m.rise_time_s == pytest.approx(2.1972, abs=0.02)
-        assert m.settling_time_s == pytest.approx(3.6889, abs=0.02)
-
-    def test_second_order_overshoot(self):
-        z, wn = 0.5, 1.0
-        wd = wn * math.sqrt(1 - z * z)
-        si = 0.01
-        t = [i * si for i in range(4001)]
-        y = [1 - math.exp(-z * wn * ti)
-             * (math.cos(wd * ti) + z / wd * math.sin(wd * ti))
-             for ti in t]
-        m = grade(t, y).metrics
-        expected = math.exp(-math.pi * z / math.sqrt(1 - z * z))
-        assert m.overshoot == pytest.approx(expected, abs=0.005)
-        assert m.overshoot == pytest.approx(0.1630, abs=0.005)
-
-    def test_zero_response_is_no_response(self):
-        t = [i * 0.01 for i in range(1000)]
-        report = grade(t, [0.0] * 1000)
-        assert report.failure_reason == "no_response"
-        assert report.metrics is None
-
-    def test_unsettled_response_is_not_settled(self):
-        # T=5 truncated at 20 s still moves > 0.5% of the change
-        t, y = first_order(5.0, 20.0)
-        report = grade(t, y)
-        assert report.failure_reason == "not_settled"
-        assert report.metrics is None
-
-    def test_negative_step_direction(self):
-        t = [i * 0.01 for i in range(3001)]
-        y = [-(1.0 - math.exp(-ti)) for ti in t]
-        m = grade(t, y).metrics
-        assert m.final_value == pytest.approx(-1.0, abs=1e-3)
-        assert m.rise_time_s == pytest.approx(math.log(9.0), abs=0.02)
-        assert m.overshoot == 0.0
-
-
-class TestCompareControllers:
-    def test_fixed_order_and_determinism(self):
-        s = set_param(preset_scenario("ei80"), "sim.t_end", 30.0)
-        t1 = compare_controllers(s)
-        t2 = compare_controllers(s)
-        assert tuple(t1) == CONTROLLER_KINDS
-        assert t1 == t2
-
-    def test_droop_improves_nadir(self):
-        s = set_param(preset_scenario("ercot80"), "sim.t_end", 30.0)
-        table = compare_controllers(s)
-        assert table["droop"].nadir_hz > table["none"].nadir_hz
-
-    def test_combined_delays_nadir(self):
-        s = set_param(preset_scenario("ei80"), "sim.t_end", 30.0)
-        table = compare_controllers(s)
-        assert (table["combined"].nadir_time_s
-                > table["droop"].nadir_time_s)

@@ -316,6 +316,8 @@ class TestControllerFactory:
                            match="^kind must be one of none, droop, inertia, "
                                  "combined, got 'sync'$"):
             ControllerSpec(kind="sync")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^kind must be one of none, droop, inertia, "
+                                 "combined, got ''$"):
             ControllerSpec(kind="")
 

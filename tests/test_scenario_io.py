@@ -396,6 +396,34 @@ class TestSilentInput:
         ("cli", "headroom --preset ercot80 --controller droop --target "
                 "59.5 --set system.h_sys=9 --set system.h_sys=1.5",
          "--set system.h_sys is given more than once"),
+        # A flag, or the subcommand itself, that sets a field after --set
+        # would keep only its own value.
+        ("cli", "simulate --preset ei80 --set controller.kind=droop "
+                "--controller inertia --out x.csv",
+         "--set controller.kind and --controller both set controller.kind; "
+         "one would replace the other"),
+        ("cli", "sweep --preset ercot80 --controller inertia --param "
+                "controller.kind --values droop --out s.csv",
+         "--controller and --param controller.kind both set "
+         "controller.kind; one would replace the other"),
+        ("cli", "sweep --preset ercot80 --set system.h_sys=9 --param "
+                "system.h_sys --values 3 --out s.csv",
+         "--set system.h_sys and --param system.h_sys both set "
+         "system.h_sys; one would replace the other"),
+        ("cli", "headroom --preset ercot80 --controller droop --target 59.5 "
+                "--set system.pv.headroom=0.3",
+         "--set system.pv.headroom and the headroom command both set "
+         "system.pv.headroom; one would replace the other"),
+        ("cli", "simulate --preset ei80 --set "
+                "controller.inertia.recovery_clamp=1 --out x.csv",
+         "controller.inertia.recovery_clamp must be true or false, "
+         "got '1'"),
+        # Below the trace CSV's 1e-6 s time resolution; the 0.01 s horizon,
+        # shorter than the settling window, would also exit 1.
+        ("cli", "simulate --preset ei80 --set contingency.t_event=0.005 "
+                "--set sim.dt=5e-7 --set sim.sample_interval=5e-7 "
+                "--set sim.t_end=0.01 --out fine.csv",
+         "sim.sample_interval must be >= 1e-06, got 5e-07"),
         ("trace", GOOD_ROW + "1,nan,0,0,0,0,0\n",
          "trace CSV line 3: f_hz must be finite, got nan"),
         ("trace", "0,60,-inf,0,0,0,0\n",
@@ -409,13 +437,19 @@ class TestSilentInput:
         ("metrics", "c,droop,59,2,0.5,-inf\n",
          "metrics CSV line 2: settling_freq_hz must be finite, got -inf"),
     ], ids=["document-repeated-section", "document-repeated-field",
-            "cli-repeated-set", "trace-nan", "trace-inf",
-            "trace-time-backwards", "trace-time-repeated", "metrics-nan",
-            "metrics-inf"])
-    def test_rejected(self, source, text, message, capsys):
+            "cli-repeated-set", "cli-controller-set-twice",
+            "cli-swept-controller-set-twice", "cli-swept-field-set-twice",
+            "cli-sized-headroom-set",
+            "cli-boolean-given-a-number", "cli-sample-interval-below-1e-06",
+            "trace-nan", "trace-inf", "trace-time-backwards",
+            "trace-time-repeated", "metrics-nan", "metrics-inf"])
+    def test_rejected(self, source, text, message, capsys, tmp_path,
+                      monkeypatch):
         if source == "cli":
+            monkeypatch.chdir(tmp_path)
             assert main(shlex.split(text)) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+            assert list(tmp_path.iterdir()) == []  # no file written
             return
         read = {"document": parse_scenario,
                 "trace": lambda text: read_trace_csv(

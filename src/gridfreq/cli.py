@@ -141,15 +141,15 @@ def _cmd_compliance(args: argparse.Namespace) -> int:
            for f in dataclasses.fields(ComplianceThresholds)})
     response = run_step_test(scenario.controller, scenario.system.pv,
                              thresholds, sim=scenario.sim)
-    report = evaluate_compliance(
-        response, thresholds,
-        config={"scenario": scenario.name,
-                "controller": scenario.controller.kind,
-                "thresholds": dataclasses.asdict(thresholds)})
+    report = evaluate_compliance(response, thresholds)
     print(format_report(report))
     if args.out:
+        config = {"scenario": scenario.name,
+                  "controller": scenario.controller.kind,
+                  "thresholds": dataclasses.asdict(thresholds)}
         with open(args.out, "w") as sink:
-            json.dump(report.as_dict(), sink, indent=2, sort_keys=True)
+            json.dump({**report.as_dict(), "config": config}, sink,
+                      indent=2, sort_keys=True)
             sink.write("\n")
         print(f"wrote {args.out}")
     return EXIT_OK if report.passed else EXIT_NONCOMPLIANT

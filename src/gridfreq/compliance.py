@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .scenario import (_KIND_PATHS, ControllerSpec, Positive, PVPlantConfig,
@@ -103,7 +103,6 @@ class ComplianceReport:
     criteria: dict[str, CriterionResult]
     passed: bool
     failure_reason: str | None
-    config: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
         out = asdict(self)
@@ -293,13 +292,13 @@ def _plant_input(cmds: list[float], lo: float, hi: float) -> float | None:
 
 def evaluate_compliance(response: StepResponse,
                         thresholds: ComplianceThresholds | None = None,
-                        config: dict[str, Any] | None = None,
                         ) -> ComplianceReport:
     """Grade a step response against the thresholds.
 
     A response that never leaves zero (or fails to settle) is an overall
     fail with the reason recorded, not an exception. One of fewer than 3
-    samples cannot be graded and raises ``ValueError``.
+    samples, or with a non-finite t or y, cannot be graded and raises
+    ``ValueError``.
     """
     thr = thresholds or ComplianceThresholds()
     try:
@@ -307,8 +306,7 @@ def evaluate_compliance(response: StepResponse,
             response.t, response.y, response.step_time, thr.settling_band)
     except _Ungradable as exc:
         return ComplianceReport(metrics=None, criteria={}, passed=False,
-                                failure_reason=str(exc),
-                                config=config or {})
+                                failure_reason=str(exc))
 
     criteria = {
         "reaction_time": CriterionResult(
@@ -328,8 +326,7 @@ def evaluate_compliance(response: StepResponse,
     return ComplianceReport(metrics=metrics, criteria=criteria,
                             passed=passed,
                             failure_reason=None if passed else
-                            "threshold_exceeded",
-                            config=config or {})
+                            "threshold_exceeded")
 
 
 class _Ungradable(Exception):
@@ -358,6 +355,13 @@ def _step_response_metrics(t: Sequence[float], y: Sequence[float],
     """
     if len(t) != len(y) or len(t) < 3:
         raise ValueError("response must have matching t/y of length >= 3")
+    for name, column in (("t", t), ("y", y)):
+        # finite values near 1e308 can overflow the sum too
+        if not math.isfinite(sum(column)):
+            for i, value in enumerate(column):
+                if not math.isfinite(value):
+                    raise ValueError(f"step response {name}[{i}] must be "
+                                     f"finite, got {value}")
     n_tail = max(1, int(len(t) * SETTLE_CHECK_FRACTION))
     tail = y[-n_tail:]
     final = sum(tail) / len(tail)

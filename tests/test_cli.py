@@ -210,6 +210,9 @@ class TestCompliance:
         assert code == 0
         blob = json.loads(report.read_text())
         assert blob["passed"] is True
+        assert blob["config"] == {
+            "scenario": "ei80", "controller": "droop",
+            "thresholds": dataclasses.asdict(ComplianceThresholds())}
         assert "PASS" in capsys.readouterr().out
 
     def test_pure_inertia_fails_with_exit_3(self, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -23,6 +24,7 @@ from zoh_reference import reference_step_test, signed
 # The horizon of the step tests that take no other: 20 s settles every
 # default droop response.
 SIM = SimConfig(t_end=20.0)
+LENGTH_RULE = "response must have matching t/y of length >= 3"
 
 
 def droop_spec(r=0.05, deadband=0.0, t_lag=0.2):
@@ -404,21 +406,43 @@ class TestEvaluateCompliance:
         assert parsed["criteria"]["rise_time"]["passed"] is True
 
     def test_report_dict_keys(self):
-        report = evaluate_compliance(synthetic_first_order(1.0),
-                                     config={"scenario": "x"})
+        report = evaluate_compliance(synthetic_first_order(1.0))
         m = report.metrics
         assert report.as_dict() == {
             "passed": True, "failure_reason": None,
             "criteria": {name: {"value": c.value, "limit": c.limit,
                                 "passed": c.passed}
                          for name, c in report.criteria.items()},
-            "config": {"scenario": "x"},
             "metrics": {"reaction_time_s": m.reaction_time_s,
                         "rise_time_s": m.rise_time_s,
                         "settling_time_s": m.settling_time_s,
                         "overshoot": m.overshoot,
                         "final_value": m.final_value},
         }
+
+    # Graded as numbers, a NaN in y or t reads as a pass, an inf in y as
+    # an infinite overshoot and a late NaN in y as not settled. Each edit
+    # sets column[index] = value.
+    @pytest.mark.parametrize("edits, message", [
+        ({"y": (100, math.nan)}, "step response y[100] must be finite, "
+                                 "got nan"),
+        ({"t": (100, math.nan)}, "step response t[100] must be finite, "
+                                 "got nan"),
+        ({"y": (100, math.inf)}, "step response y[100] must be finite, "
+                                 "got inf"),
+        ({"y": (-5, math.nan)}, "step response y[2996] must be finite, "
+                                "got nan"),
+        ({"y": (slice(3000, None), [])}, LENGTH_RULE),
+        ({"t": (slice(2, None), []), "y": (slice(2, None), [])},
+         LENGTH_RULE),
+    ], ids=["nan_y", "nan_t", "inf_y", "late_nan_y", "lengths_differ",
+            "two_samples"])
+    def test_ungradable_response_rejected(self, edits, message):
+        resp = synthetic_first_order(1.0)
+        for column, (index, value) in edits.items():
+            getattr(resp, column)[index] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_compliance(resp)
 
     def test_format_report_mentions_overall(self):
         report = evaluate_compliance(synthetic_first_order(1.0))

@@ -9,13 +9,16 @@ from pathlib import Path
 
 import pytest
 from gridfreq import engine
+from gridfreq.compliance import make_controller
 from gridfreq.csvio import read_trace_csv, write_trace_csv
-from gridfreq.engine import SimConfig, run_simulation
+from gridfreq.engine import SimConfig, run_simulation, steady_state_deviation
 from gridfreq.metrics import compute_frequency_metrics
-from gridfreq.scenario import (Scenario, preset_scenario,
-                               scenario_from_dict, set_param)
+from gridfreq.scenario import (Contingency, ControllerSpec, DroopConfig,
+                               GovernorFleet, Scenario, SystemParams,
+                               preset_scenario, scenario_from_dict,
+                               set_param)
+from trace_probes import initial_rocof
 from work_count import pinned, step_work
-from zoh_reference import CombinedController, DroopController, PVPlant
 
 
 def d_only_scenario(dp=0.02, h_sys=3.0):
@@ -32,6 +35,22 @@ def d_only_analytic(t_after_event, dp=0.02, d_load=1.0, h_sys=3.0):
     tau = 2.0 * h_sys / d_load
     return 60.0 * (1.0 - (dp / d_load) * (1.0 - math.exp(-t_after_event
                                                          / tau)))
+
+
+def replay_plant(pv, dt):
+    """The PV plant without a rate limit, stepped at ``dt``: each command
+    is clamped into [down_limit, up_limit] and held over the step through
+    the inverter lag. Returns ``step(cmd)``, the output in system pu."""
+    assert pv.rate_limit is None
+    a = -math.expm1(-dt / pv.t_inv)
+    y = 0.0
+
+    def step(cmd):
+        nonlocal y
+        y += (min(max(cmd, pv.down_limit), pv.up_limit) - y) * a
+        return pv.c_pv * y
+
+    return step
 
 
 class TestRunSimulation:
@@ -52,6 +71,25 @@ class TestRunSimulation:
         assert trace.f_hz[idx] == pytest.approx(59.24150, abs=0.001)
         assert trace.f_hz[idx] == pytest.approx(d_only_analytic(6.0),
                                                 abs=1e-6)
+
+    def test_initial_rocof_identity(self):
+        # Right after the event only inertia acts: df/dt = -dp*f0/(2H).
+        worst = 0.0
+        for dp in (0.01, 0.02, 0.04):
+            for h_sys in (2.0, 3.0, 4.0):
+                s = scenario_from_dict({
+                    "name": "rocof-grid",
+                    "system": {"h_sys": h_sys},
+                    "controller": {"kind": "none"},
+                    "contingency": {"dp": dp, "t_event": 1.0},
+                    "sim": {"t_end": 10.0},
+                })
+                measured = initial_rocof(run_simulation(s), 1.0)
+                analytic = -dp * 60.0 / (2.0 * h_sys)
+                worst = max(worst,
+                            abs(measured - analytic) / abs(analytic))
+        assert worst <= 0.01, (f"worst relative error over 3x3 (dp, H) "
+                               f"grid: {worst:.4f} (<=0.01)")
 
     def test_inertia_washout_closed_form(self):
         # With c_pv = 1e-6 the inertia path barely moves the frequency, so
@@ -88,9 +126,8 @@ class TestRunSimulation:
         s = preset_scenario("ei80", controller="combined")
         t1 = run_simulation(s)
         t2 = run_simulation(s)
-        assert t1.f_hz == t2.f_hz
-        assert t1.dp_pv_pu == t2.dp_pv_pu
-        assert t1.rocof_hz_per_s == t2.rocof_hz_per_s
+        assert same_lists(t1, t2)
+        assert (t1.cmd_min, t1.cmd_max) == (t2.cmd_min, t2.cmd_max)
 
     def test_causality_no_response_before_event(self):
         s = preset_scenario("ei80", controller="combined")
@@ -178,17 +215,17 @@ class TestRunSimulation:
         assert err(0.01) / err(0.005) >= 12.0
 
     def test_closed_loop_matches_discrete_controller(self):
-        """Dual route: the RK4-embedded droop path agrees with the discrete
-        block controller replayed over the same frequency trace."""
+        """Dual route: the RK4-embedded droop path agrees with the step
+        test's discrete controller replayed over the same frequency
+        trace."""
         s = preset_scenario("ei80", controller="droop")
         trace = run_simulation(s)
-        ctl = DroopController(s.controller.droop)
-        plant = PVPlant(s.system.pv)
+        hold = make_controller(s.controller, s.sim.sample_interval)
+        plant = replay_plant(s.system.pv, s.sim.sample_interval)
         worst = 0.0
         for i in range(1, len(trace.t)):
-            dt = trace.t[i] - trace.t[i - 1]
             df = trace.f_hz[i - 1] / 60.0 - 1.0
-            out = plant.step(ctl.step(df, dt), dt)
+            out = plant(hold(df, 1)[0])
             worst = max(worst, abs(out - trace.dp_pv_pu[i]))
         peak = max(abs(v) for v in trace.dp_pv_pu)
         assert peak > 0.0
@@ -203,13 +240,12 @@ class TestRunSimulation:
         s = preset_scenario("ercot80", controller="combined")
         sim = SimConfig(dt=0.005, t_end=60.0, sample_interval=0.005)
         trace = run_simulation(s, sim=sim)
-        ctl = CombinedController(s.controller.droop, s.controller.inertia)
-        plant = PVPlant(s.system.pv)
+        hold = make_controller(s.controller, sim.sample_interval)
+        plant = replay_plant(s.system.pv, sim.sample_interval)
         diffs = []
         for i in range(1, len(trace.t)):
-            dt = trace.t[i] - trace.t[i - 1]
             df = 0.5 * (trace.f_hz[i - 1] + trace.f_hz[i]) / 60.0 - 1.0
-            out = plant.step(ctl.step(df, dt), dt)
+            out = plant(hold(df, 1)[0])
             diffs.append((trace.t[i], abs(out - trace.dp_pv_pu[i])))
         peak = max(abs(v) for v in trace.dp_pv_pu)
         rms = math.sqrt(sum(d * d for _, d in diffs) / len(diffs))
@@ -255,6 +291,25 @@ class TestRunSimulation:
         trace = run_simulation(s, sim=SimConfig(t_end=30.0))
         assert max(trace.dp_gov_pu) <= 0.01 + 1e-12
         assert min(trace.dp_gov_pu) >= 0.0
+
+    def test_headroom_necessity(self):
+        # With no headroom the PV can only curtail, never add power; with
+        # 0.05 of it, combined control raises the nadir.
+        def run(kind, headroom):
+            return run_simulation(set_param(preset_scenario("ercot80", kind),
+                                            "system.pv.headroom", headroom))
+
+        def nadir(trace):
+            return compute_frequency_metrics(trace, 1.0, f0=60.0).nadir_hz
+
+        droop0, combined0 = run("droop", 0.0), run("combined", 0.0)
+        combined5 = run("combined", 0.05)
+        max_pv = max(max(droop0.dp_pv_pu), max(combined0.dp_pv_pu))
+        detail = (f"h=0: max dp_pv {max_pv:.2e} (<=0); nadir(h=0.05) "
+                  f"{nadir(combined5):.4f} > nadir(h=0) "
+                  f"{nadir(combined0):.4f} Hz")
+        assert max_pv <= 0.0, detail
+        assert nadir(combined5) > nadir(combined0), detail
 
     def test_pv_rate_limit_slows_response(self):
         s = preset_scenario("ercot80", controller="droop")
@@ -345,6 +400,88 @@ class TestRunSimulation:
             run_simulation(s, sim=sim)
         assert "diverged" in str(info.value)
         assert not re.search(r"(controller|system)\.", str(info.value))
+
+
+class TestGovernorRhs:
+    def test_initial_rate(self):
+        """The engine's governor follows d(dp_gov)/dt =
+        (kappa/r_gov*|df| - dp_gov)/t_gov, so right after the event its
+        slope is kappa/r_gov*|df|/t_gov; both read from a trace."""
+        s = preset_scenario("ercot80")
+        s = set_param(s, "system.governor.kappa", 0.5)
+        s = set_param(s, "system.governor.t_gov", 4.0)
+        gov = s.system.governor
+        trace = run_simulation(s, sim=SimConfig(t_end=6.0))
+        k_event = trace.t.index(s.contingency.t_event)
+        for k in range(k_event + 1, k_event + 300):
+            slope = (trace.dp_gov_pu[k + 1] - trace.dp_gov_pu[k - 1]) \
+                / (trace.t[k + 1] - trace.t[k - 1])
+            abs_df = 1.0 - trace.f_hz[k] / s.system.f0
+            rate = gov.kappa / gov.r_gov * abs_df / gov.t_gov
+            assert slope == pytest.approx(
+                rate - trace.dp_gov_pu[k] / gov.t_gov, rel=1e-3)
+            if k <= k_event + 3:
+                assert slope == pytest.approx(rate, rel=5e-3)
+
+
+def balance(kind="none", dp=0.02, r=0.05, **system):
+    """A scenario for the steady-state balance, h_sys 3 s."""
+    return Scenario(
+        system=SystemParams(h_sys=3.0, **system),
+        contingency=Contingency(dp=dp),
+        controller=ControllerSpec(kind=kind, droop=DroopConfig(r=r)))
+
+
+class TestSteadyStateDeviation:
+    def test_without_pv(self):
+        for kind in ("none", "inertia"):
+            dev = steady_state_deviation(balance(kind, d_load=1.0))
+            assert dev == pytest.approx(-0.0028571, abs=1e-7)
+            assert dev * 60.0 == pytest.approx(-0.17143, abs=1e-5)
+
+    def test_with_pv_droop(self):
+        for kind in ("droop", "combined"):
+            dev = steady_state_deviation(balance(kind, r=0.05, d_load=1.0))
+            # denominator 0.3/0.05 + 1 + 0.4/0.05 = 15
+            assert dev == pytest.approx(-0.0013333, abs=1e-7)
+            assert dev * 60.0 == pytest.approx(-0.08, abs=1e-5)
+
+    def test_run_settles_to_the_balance(self):
+        # The balance neglects deadbands, so the droop path's is zeroed;
+        # the settling frequency is the mean of the run's last 5 s.
+        for kind in ("none", "droop"):
+            s = set_param(balance(kind, d_load=1.0),
+                          "controller.droop.deadband", 0.0)
+            m = compute_frequency_metrics(
+                run_simulation(s), s.contingency.t_event, f0=60.0)
+            dev = m.settling_freq_hz / 60.0 - 1.0
+            analytic = steady_state_deviation(s)
+            err = abs(dev - analytic)
+            assert err <= 2e-4, (f"{kind}: sim {dev:.7f} vs {analytic:.7f} "
+                                 f"pu (err {err:.1e} <= 2e-4)")
+
+    def test_zero_disturbance(self):
+        assert steady_state_deviation(balance(dp=0.0)) == 0.0
+
+    def test_zero_denominator_rejected(self):
+        s = balance(d_load=0.0, governor=GovernorFleet(kappa=0.0))
+        with pytest.raises(ValueError, match="no responsive"):
+            steady_state_deviation(s)
+
+    @pytest.mark.parametrize("dp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_disturbance_rejected(self, dp):
+        # The contingency rejects it, so no balance is ever formed.
+        with pytest.raises(ValueError, match=r"^dp must be finite, got "):
+            steady_state_deviation(balance(dp=dp))
+
+    @pytest.mark.parametrize("r_droop", [math.nan, math.inf, -math.inf,
+                                         0.0])
+    def test_droop_outside_open_interval_rejected(self, r_droop):
+        # r_droop=inf used to drop the PV droop term without a word; the
+        # droop path's config rejects it before a balance is formed.
+        with pytest.raises(ValueError,
+                           match=r"^r must be (> 0|finite), got "):
+            steady_state_deviation(balance("droop", r=r_droop))
 
 
 TRACE_LISTS = ("t", "f_hz", "rocof_hz_per_s", "dp_gov_pu", "dp_pv_pu",

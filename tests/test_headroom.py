@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -184,6 +185,34 @@ class TestMinHeadroomForNadir:
 
         assert nadir(result.headroom) >= 59.5
         assert nadir(max(result.headroom - 2 * query.tolerance, 0.0)) < 59.5
+
+    def test_bisection_matches_the_sweep(self):
+        scenario = preset("ercot80", "combined")
+        target = 59.5
+        query = HeadroomQuery(scenario=scenario, controller="combined",
+                              target_nadir_hz=target, h_max=0.5,
+                              tolerance=0.001)
+        t0 = time.perf_counter()
+        result = min_headroom_for_nadir(query)
+        elapsed = time.perf_counter() - t0
+
+        def nadir(h):
+            s = set_param(scenario, "system.pv.headroom", h)
+            trace = run_simulation(s)
+            return compute_frequency_metrics(trace, 1.0, f0=60.0).nadir_hz
+
+        # independent oracle: exhaustive 0.0005-step sweep from zero upward
+        h_sweep = 0.0
+        while nadir(h_sweep) < target:
+            h_sweep = round(h_sweep + 0.0005, 6)
+            assert h_sweep <= query.h_max
+        diff = abs(result.headroom - h_sweep)
+        detail = (f"bisection {result.headroom:.4f} vs sweep "
+                  f"{h_sweep:.4f} (|diff| {diff:.4f} <= {query.tolerance})"
+                  f"; {result.n_runs} runs (<=25); {elapsed:.2f}s (<30s)")
+        assert diff <= query.tolerance, detail
+        assert result.n_runs <= 25, detail
+        assert elapsed < 30.0, detail
 
     def test_trivial_target_needs_no_headroom(self):
         scenario = preset("ercot80")

@@ -75,6 +75,8 @@ class TestFrequencyMetrics:
         trace = make_trace([60.0] * 100)  # spans 1 s < settling window
         with pytest.raises(ValueError, match="settling window"):
             compute_frequency_metrics(trace, t_event=0.1, f0=60.0)
+        with pytest.raises(ValueError, match="^empty trace$"):
+            compute_frequency_metrics(Trace(), t_event=0.1, f0=60.0)
 
     def test_event_after_trace_end_rejected(self):
         trace = make_trace([60.0] * 1001)

@@ -105,10 +105,6 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="line"):
             parse_scenario('{"preset": "ei80",}')
 
-    def test_unknown_preset_lists_valid(self):
-        with pytest.raises(ScenarioError, match="ercot80"):
-            parse_scenario('{"preset": "wecc"}')
-
     def test_wrong_type_rejected(self):
         with pytest.raises(ScenarioError, match="must be a number"):
             parse_scenario('{"preset": "ei80",'
@@ -308,6 +304,16 @@ class TestMetricsCsv:
         assert rows[0][2].nadir_hz == pytest.approx(m.nadir_hz, abs=1e-6)
         assert rows[0][2].settling_freq_hz == pytest.approx(
             m.settling_freq_hz, abs=1e-6)
+
+    def test_roundtrip_skips_blank_rows(self):
+        m = FrequencyMetrics(nadir_hz=59.5, nadir_time_s=2.0,
+                             max_abs_rocof_hz_per_s=0.5,
+                             settling_freq_hz=59.8)
+        sink = io.StringIO()
+        write_metrics_csv([("a", "droop", m), ("b", "none", m)], sink)
+        spaced = sink.getvalue().replace("\n", "\n\n")
+        assert read_metrics_csv(io.StringIO(spaced)) == [
+            ("a", "droop", m), ("b", "none", m)]
 
     def test_roundtrip_quoted_names(self):
         m = FrequencyMetrics(nadir_hz=59.5, nadir_time_s=2.0,
@@ -550,10 +556,18 @@ class TestPresetDocuments:
                                    "contingency": {"dp": 0.01},
                                    "name": None}).name == "scenario"
 
-    def test_non_string_preset_lists_the_valid_presets(self):
-        with pytest.raises(ScenarioError,
-                           match=r"valid presets: ei80, ercot80$"):
-            scenario_from_dict({"preset": ["x"]})
+    # Every way to name a preset rejects an unknown one with the same
+    # message; a name that is not a string is shown as the repr of its
+    # str().
+    @pytest.mark.parametrize("build, shown", [
+        (lambda: preset_scenario("wecc"), "'wecc'"),
+        (lambda: parse_scenario('{"preset": "wecc"}'), "'wecc'"),
+        (lambda: scenario_from_dict({"preset": ["x"]}), '"[\'x\']"'),
+    ], ids=["preset_scenario", "parse_scenario", "non_string"])
+    def test_unknown_preset_rejected(self, build, shown):
+        message = f"unknown preset {shown}; valid presets: ei80, ercot80"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_readme_preset_table_matches(self):
         text = (Path(__file__).resolve().parent.parent

@@ -28,7 +28,7 @@ from .engine import run_simulation
 from .headroom import (HeadroomQuery, NonMonotoneError, UnattainableError,
                        compare_controllers, min_headroom_for_nadir,
                        sweep_param)
-from .metrics import compute_frequency_metrics
+from .metrics import FrequencyMetrics, compute_frequency_metrics
 from .scenario import (CONTROLLER_KINDS, Scenario, ScenarioError,
                        parse_scenario, parse_set_value, preset_scenario,
                        scenario_from_dict, set_param)
@@ -127,7 +127,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         write_metrics_csv(
             [(scenario.name, kind, m) for kind, m in table.items()], sink)
     for kind, m in table.items():
-        print(f"{scenario.name:>12} {kind:>9}: nadir {m.nadir_hz:.4f} Hz "
+        print(f"{scenario.name:>12} {kind:>9}: "
+              f"{_extreme(m, scenario.system.f0)} {m.nadir_hz:.4f} Hz "
               f"at {m.nadir_time_s:.2f} s, max |rocof| "
               f"{m.max_abs_rocof_hz_per_s:.4f} Hz/s, settling "
               f"{m.settling_freq_hz:.4f} Hz")
@@ -186,14 +187,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # a number in :g form; true, false and none in lower case
         shown = f"{v:g}" if type(v) is float else str(v).lower()
         rows.append((f"{args.param}={shown}",
-                     v if args.param == "controller.kind" else kind, m))
+                     v if args.param == "controller.kind" else kind, m,
+                     v if args.param == "system.f0" else scenario.system.f0))
     with open(args.out, "w", newline="") as sink:
         write_metrics_csv([(f"{scenario.name}[{label}]", row_kind, m)
-                           for label, row_kind, m in rows], sink)
-    for label, _, m in rows:
-        print(f"{label}: nadir {m.nadir_hz:.4f} Hz, "
+                           for label, row_kind, m, _ in rows], sink)
+    for label, _, m, f0 in rows:
+        print(f"{label}: {_extreme(m, f0)} {m.nadir_hz:.4f} Hz, "
               f"settling {m.settling_freq_hz:.4f} Hz")
     return EXIT_OK
+
+
+def _extreme(m: FrequencyMetrics, f0: float) -> str:
+    """The printed name of the run's frequency extreme: "peak" above
+    ``f0`` (an over-frequency event), "nadir" otherwise. The metrics CSV
+    keeps its one ``nadir_hz`` column for both."""
+    return "peak" if m.nadir_hz > f0 else "nadir"
 
 
 def build_parser() -> _Parser:

@@ -364,7 +364,7 @@ def _step_response_metrics(t: Sequence[float], y: Sequence[float],
                                      f"finite, got {value}")
     n_tail = max(1, int(len(t) * SETTLE_CHECK_FRACTION))
     tail = y[-n_tail:]
-    final = sum(tail) / len(tail)
+    final = _mean(tail)
     baseline = _baseline(t, y, step_time)
     change = final - baseline
     if abs(change) < 1e-6:
@@ -425,7 +425,18 @@ def _baseline(t: Sequence[float], y: Sequence[float],
     pre = y[:bisect_left(t, step_time - 1e-12)]
     if not pre:
         return y[0]
-    return sum(pre) / len(pre)
+    return _mean(pre)
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The mean of ``values``. Only when their sum leaves the float range
+    is it formed from terms divided first, so that finite values have a
+    finite mean and every other mean keeps every bit."""
+    n = len(values)
+    mean = sum(values) / n
+    if not math.isfinite(mean):
+        mean = sum(v / n for v in values)
+    return mean
 
 
 def format_report(report: ComplianceReport) -> str:

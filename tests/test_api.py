@@ -2,7 +2,8 @@
 README's list, every name the scripts and the benchmark harness reach on the
 package still exists, and every keyword the harness passes and every call
 argument its tracer reads is still a parameter of the function it reaches,
-README's Python examples run, and the modules keep their one job each.
+README's Python examples run, the modules keep their one job each, and each
+test module is named for the package module it tests or declared here.
 
 The scripts and harness are parsed with ``ast``, not run, so a later trim of
 the API fails here instead of breaking them silently.
@@ -191,3 +192,23 @@ def test_no_type_checking_imports():
                                           .glob("*.py"))
              if "TYPE_CHECKING" in path.read_text()]
     assert files == []
+
+
+# The test modules named after no package module, and what each checks.
+UNHOMED_TEST_MODULES = {
+    "acceptance": "the paper's claims",
+    "api": "the public API and the package's layout",
+    "config_fields": "scenario's field rules, one table",
+    "metamorphic": "the engine's and the step test's bit-exact relations",
+    "perfbench": "the benchmark's gates",
+    "scenario_io": "scenario with csvio, until csvio's tests split off",
+}
+
+
+def test_each_test_module_is_named_for_its_package_module():
+    # The checks of package module <m> live in tests/test_<m>.py.
+    modules = {path.stem for path in (ROOT / "src" / "gridfreq").glob("*.py")}
+    names = {path.stem.removeprefix("test_")
+             for path in (ROOT / "tests").glob("test_*.py")}
+    assert sorted(names - modules - set(UNHOMED_TEST_MODULES)) == []
+    assert sorted(set(UNHOMED_TEST_MODULES) - names) == []

@@ -200,6 +200,25 @@ class TestCompare:
         assert [ln.split(",")[1] for ln in lines[1:]] == [
             "none", "droop", "inertia", "combined"]
 
+    def test_over_frequency_extreme_is_printed_as_peak(self, tmp_path,
+                                                       fast_args, capsys):
+        # The printed text names the extreme by the event's direction; the
+        # CSV keeps its nadir_hz column.
+        over = ["--preset", "ercot80", "--set", "contingency.dp=-0.04",
+                "--set", "system.pv.headroom=0", *fast_args]
+        out = tmp_path / "metrics.csv"
+        assert run_cli("compare", *over, "--out", str(out)) == 0
+        assert "   droop: peak 60.2949 Hz at 0.78 s" in capsys.readouterr().out
+        assert out.read_text().splitlines()[0] == METRICS_HEADER
+        # A sweep compares each row with its own f0: this under-frequency
+        # nadir at f0 = 61.1 lies above 60 Hz.
+        assert run_cli("sweep", "--preset", "ercot80", "--controller",
+                       "none", "--param", "system.f0", "--values",
+                       "60,61.1", "--out", str(out), *fast_args) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "system.f0=60: nadir 58.9324 Hz, settling 59.6296 Hz",
+            "system.f0=61.1: nadir 60.0128 Hz, settling 60.7228 Hz"]
+
 
 class TestCompliance:
     def test_droop_passes(self, tmp_path, capsys):

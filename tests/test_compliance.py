@@ -1,8 +1,20 @@
+"""Tests of ``gridfreq.compliance``, the open-loop step test.
+
+In order: the shipped blocks (the deadband, and the droop and inertia
+paths of ``make_controller`` reduced to a bare lag and a bare washout),
+the three controllers, the plant envelope inside ``run_step_test`` (fed
+scripted requests by a stub controller where the envelope alone is
+under test), the step test itself, and its grading. The two
+differentials compare the controller and the step test with the
+block-per-object reference in ``tests/zoh_reference.py``.
+"""
+
 import dataclasses
 import math
 import random
 import re
 import tracemalloc
+from itertools import islice, repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,14 +24,14 @@ import gridfreq.compliance
 from gridfreq.compliance import (REACTION_FRACTION, RISE_FRACTIONS,
                                  SETTLE_CHECK_FRACTION, SETTLE_CHECK_LIMIT,
                                  ComplianceThresholds, StepResponse,
-                                 StepResponseMetrics, _baseline,
+                                 StepResponseMetrics, _baseline, _deadband,
                                  _step_response_metrics, _Ungradable,
                                  evaluate_compliance, format_report,
-                                 run_step_test)
+                                 make_controller, run_step_test)
 from gridfreq.scenario import (ControllerSpec, DroopConfig, InertiaConfig,
                                PVPlantConfig, SimConfig)
 from work_count import pinned, step_work
-from zoh_reference import reference_step_test, signed
+from zoh_reference import reference_controller, reference_step_test, signed
 
 # The horizon of the step tests that take no other: 20 s settles every
 # default droop response.
@@ -33,11 +45,444 @@ def droop_spec(r=0.05, deadband=0.0, t_lag=0.2):
                                             t_lag=t_lag))
 
 
+def controller(dt=0.005, kind="droop", droop=DroopConfig(),
+               inertia=InertiaConfig()):
+    """``make_controller``'s controller for these settings, as
+    ``ctl(delta_f, n=1)``: it holds ``delta_f`` for ``n`` steps and
+    returns the ``n`` commands."""
+    hold = make_controller(ControllerSpec(kind=kind, droop=droop,
+                                          inertia=inertia), dt)
+    return lambda delta_f, n=1: hold(delta_f, n)
+
+
+def settle(ctl, delta_f, dt=0.005, seconds=25.0):
+    """The command after ``ctl`` holds ``delta_f`` for ``seconds``."""
+    return ctl(delta_f, round(seconds / dt))[-1]
+
+
+def stub_controller(monkeypatch, requests):
+    """Replace the controller that ``run_step_test`` builds with one that
+    commands 0.0 before the step and ``requests``, in order, from the step
+    on, to drive the plant envelope directly."""
+    def stub(spec, dt):
+        script = iter(requests)
+
+        def hold(delta_f, n):
+            return [0.0] * n if delta_f == 0.0 else list(islice(script, n))
+        return hold
+
+    monkeypatch.setattr(gridfreq.compliance, "make_controller", stub)
+
+
+def envelope(monkeypatch, requests, headroom, rate_limit=None, dt=0.1):
+    """The step test's plant output when its controller requests
+    ``requests`` from the step on: an inverter lag so fast that its update
+    coefficient is exactly 1 delivers each enveloped request as the next
+    sample."""
+    stub_controller(monkeypatch, requests)
+    plant = PVPlantConfig(headroom=headroom, t_inv=1e-9,
+                          rate_limit=rate_limit)
+    n = len(requests)
+    response = run_step_test(
+        ControllerSpec(kind="droop"), plant,
+        sim=SimConfig(dt=dt, t_end=(n + 1) * dt, sample_interval=dt),
+        step_time=dt)
+    return response.y[2:]
+
+
 def synthetic_first_order(T, horizon=30.0, si=0.01, step_time=0.0):
     t = [i * si for i in range(round(horizon / si) + 1)]
     y = [1.0 - math.exp(-max(ti - step_time, 0.0) / T) for ti in t]
     return StepResponse(t=t, y=y, step_time=step_time,
                         step_magnitude=0.002)
+
+
+class TestDeadband:
+    @pytest.mark.parametrize(
+        "width, u, expected",
+        [
+            (0.0006, 0.0003, 0.0),       # inside the band
+            (0.0006, 0.0006, 0.0),       # exactly on the boundary
+            (0.0006, -0.002, -0.0014),   # offset, not truncation
+            (0.0006, 0.002, 0.0014),
+            (0.0, 0.5, 0.5),             # zero-width band passes through
+        ],
+    )
+    def test_values(self, width, u, expected):
+        assert _deadband(u, width) == pytest.approx(expected, abs=1e-15)
+
+    @given(st.floats(min_value=-10, max_value=10),
+           st.floats(min_value=0, max_value=1))
+    def test_odd_function(self, u, width):
+        assert _deadband(-u, width) == -_deadband(u, width)
+
+    @given(st.floats(min_value=-10, max_value=10),
+           st.floats(min_value=1e-6, max_value=1))
+    def test_continuous_at_band_edge(self, u, width):
+        out = _deadband(u, width)
+        if abs(u) <= width:
+            assert out == 0.0
+        else:
+            # magnitude shrinks by exactly the width: no jump at the edge
+            assert abs(out) == pytest.approx(abs(u) - width, abs=1e-12)
+
+
+class TestFirstOrderLag:
+    """The droop path as a bare lag: with no deadband and r = 1, each
+    command is exactly minus the lag's state."""
+
+    @staticmethod
+    def lag(t_lag):
+        return DroopConfig(r=1.0, deadband=0.0, t_lag=t_lag)
+
+    def test_fixed_point(self):
+        for dt in (0.001, 0.1, 3.0):
+            lag = controller(dt, droop=self.lag(0.7))
+            cmd = lag(0.5, 3)[-1]
+            assert lag(-cmd, 4) == [cmd] * 4
+
+    def test_pass_through_limit(self):
+        cmd, = controller(1.0, droop=self.lag(0.001))(1.0)
+        assert -cmd == pytest.approx(1.0, abs=1e-9)
+
+    @given(st.floats(min_value=0.05, max_value=5),
+           st.floats(min_value=0.001, max_value=0.5),
+           st.integers(min_value=1, max_value=200),
+           st.floats(min_value=-2, max_value=2),
+           st.floats(min_value=-2, max_value=2))
+    # one step from rest: 1 - exp(-0.1) = 0.0951626
+    @example(1.0, 0.1, 1, 0.0, 1.0)
+    def test_exact_exponential_convergence(self, t_const, dt, n, y0, u):
+        """|y(n dt) - u| = |y0 - u| exp(-n dt / T): discretization exact,
+        from the state y0 one step toward an earlier input leaves."""
+        lag = controller(dt, droop=self.lag(t_const))
+        y0 = -lag(y0)[-1]
+        y = -lag(u, n)[-1]
+        expected = u + (y0 - u) * math.exp(-n * dt / t_const)
+        assert y == pytest.approx(expected, abs=1e-12)
+
+    @given(st.floats(min_value=-1, max_value=1),
+           st.floats(min_value=-1, max_value=1),
+           st.floats(min_value=0.01, max_value=1))
+    def test_stays_within_envelope(self, y0, u, dt):
+        lag = controller(dt, droop=self.lag(0.3))
+        y0 = -lag(y0)[-1]
+        lo, hi = min(y0, u), max(y0, u)
+        for cmd in lag(u, 50):
+            assert lo - 1e-12 <= -cmd <= hi + 1e-12
+
+
+class TestWashout:
+    """The inertia path as a bare washout: with no deadband, k = 1 and a
+    lag so fast that its update coefficient is exactly 1, the lag passes
+    its input through, and each command is exactly minus the washout's
+    output (u - x)/T."""
+
+    @staticmethod
+    def washout(t_washout):
+        return InertiaConfig(k=1.0, deadband=0.0, t_lag=1e-9,
+                             t_washout=t_washout)
+
+    def test_constant_input_at_equilibrium(self):
+        washout = controller(0.05, "inertia", inertia=self.washout(0.1))
+        assert washout(0.0, 3) == [0.0] * 3
+        # a held 0.42 settles to zero within the rounding of its state
+        assert abs(washout(0.42, 200)[-1]) <= 1e-14
+
+    def test_step_response_decays_analytically(self):
+        # step 0 -> 1 with T=0.1: output 10 exp(-t/0.1) at the samples
+        dt = 0.02
+        washout = controller(dt, "inertia", inertia=self.washout(0.1))
+        for k, cmd in enumerate(washout(1.0, 19), 1):
+            assert -cmd == pytest.approx(10.0 * math.exp(-k * dt / 0.1),
+                                         abs=1e-10)
+
+    def test_ramp_settles_to_slope(self):
+        washout = controller(0.001, "inertia", inertia=self.washout(0.1))
+        m = -0.00833
+        dt = 0.001
+        cmd = 0.0
+        for k in range(2000):  # 2 s = 20 washout time constants
+            cmd, = washout(m * k * dt)
+        assert -cmd == pytest.approx(m, rel=0.01)
+
+
+class TestDroopController:
+    def test_steady_state_underfrequency(self):
+        ctl = controller(droop=DroopConfig(r=0.05, deadband=0.0006))
+        assert settle(ctl, -0.002) == pytest.approx(0.028, abs=1e-9)
+
+    def test_inside_deadband(self):
+        ctl = controller(droop=DroopConfig(r=0.05, deadband=0.0006))
+        assert settle(ctl, 0.0004) == 0.0
+
+    def test_odd_symmetry(self):
+        ctl = controller(droop=DroopConfig(r=0.05, deadband=0.0006))
+        assert settle(ctl, 0.002) == pytest.approx(-0.028, abs=1e-9)
+
+    def test_steady_gain_linear_in_deviation(self):
+        """Settled magnitude is (|df| - band)/r over a grid of deviations."""
+        cfg = DroopConfig(r=0.04, deadband=0.0005)
+        for i in range(1, 11):
+            df = -0.0005 - i * 0.0004
+            expected = (abs(df) - cfg.deadband) / cfg.r
+            assert settle(controller(droop=cfg), df) == pytest.approx(
+                expected, abs=1e-9)
+
+
+class TestInertiaController:
+    def test_constant_deviation_washes_out(self):
+        cfg = InertiaConfig(k=10.0)
+        out = settle(controller(kind="inertia", inertia=cfg), -0.003,
+                     seconds=30 * cfg.t_washout + 1)
+        assert abs(out) < 1e-9
+
+    def test_sustained_rocof_response(self):
+        # ROCOF of -0.5 Hz/s on a 60 Hz base, k=10 -> +0.0833 plant pu
+        dt = 0.0005
+        ctl = controller(dt, "inertia", inertia=InertiaConfig(k=10.0))
+        slope = -0.5 / 60.0
+        out = 0.0
+        for k in range(round(1.5 / dt)):
+            out, = ctl(slope * (k + 1) * dt)
+        assert out == pytest.approx(-10.0 * slope, rel=0.01)
+        assert out == pytest.approx(0.08333, rel=0.01)
+
+    def test_recovery_clamp_zeroes_opposing_output(self):
+        # recovering underfrequency: rising frequency, still below nominal
+        slope = 0.2 / 60.0
+        dt = 0.0005
+
+        def drive(cfg):
+            ctl = controller(dt, "inertia", inertia=cfg)
+            out = 0.0
+            for k in range(round(0.5 / dt)):
+                out, = ctl((-0.2 + 0.2 * (k + 1) * dt) / 60.0)
+            return out
+
+        unclamped = drive(InertiaConfig(k=10.0))
+        assert unclamped == pytest.approx(-10.0 * slope, rel=0.01)
+        assert unclamped == pytest.approx(-0.0333, rel=0.01)
+        clamped = drive(InertiaConfig(k=10.0, recovery_clamp=True))
+        assert clamped == 0.0
+
+    def test_recovery_clamp_never_negative_during_underfrequency(self):
+        dt = 0.001
+        ctl = controller(dt, "inertia",
+                         inertia=InertiaConfig(k=10.0, recovery_clamp=True))
+        # dip to -0.15 Hz then recover to -0.01 Hz: output stays >= 0
+        for k in range(2000):
+            t = (k + 1) * dt
+            df_hz = -0.15 * min(t / 0.5, 1.0) + 0.14 * max(0.0, (t - 0.5)) / 1.5
+            assert ctl(min(df_hz, -0.01) / 60.0)[0] >= 0.0
+
+
+class TestCombinedController:
+    @given(st.lists(st.floats(min_value=-0.01, max_value=0.01),
+                    min_size=1, max_size=50))
+    # the first step of each path at -0.01
+    @example([-0.01])
+    def test_superposition(self, deviations):
+        both = controller(0.01, "combined")
+        d, i = controller(0.01), controller(0.01, "inertia")
+        for df in deviations:
+            assert both(df)[0] == d(df)[0] + i(df)[0]
+
+    def test_zero_inertia_gain_degenerates_to_droop(self):
+        both = controller(0.01, "combined", inertia=InertiaConfig(k=0.0))
+        d = controller(0.01)
+        for k in range(200):
+            df = -0.002 * math.sin(k * 0.05)
+            assert both(df) == d(df)
+
+    def test_disabled_droop_degenerates_to_inertia(self):
+        # a deadband wider than every |df| below holds the droop input,
+        # and so its command, at exactly zero
+        both = controller(0.01, "combined", droop=DroopConfig(deadband=1.0))
+        i = controller(0.01, "inertia")
+        for k in range(200):
+            df = -0.002 * math.sin(k * 0.05)
+            assert both(df) == i(df)
+
+    def test_superposed_steady_and_ramp(self):
+        """A -0.5 Hz/s ramp evaluated as it passes -0.002 pu produces the
+        sum of the two analytic path values, 0.028 + 0.08333.
+
+        Filters much faster than the ramp keep the tracking error of the
+        droop lag and the settling of the derivative chain below 1%.
+        """
+        dt = 1e-4
+        ctl = controller(dt, "combined",
+                         DroopConfig(r=0.05, deadband=0.0006, t_lag=0.001),
+                         InertiaConfig(k=10.0, deadband=0.0, t_lag=0.005,
+                                       t_washout=0.01))
+        slope = -0.5 / 60.0
+        n = round(((0.002 - 0.0006) / abs(slope)) / dt)
+        out = 0.0
+        for k in range(1, n + 1):
+            out, = ctl(-0.0006 + slope * k * dt)
+        assert -0.0006 + slope * n * dt == pytest.approx(-0.002, abs=1e-9)
+        assert out == pytest.approx(0.028 + 0.083333, rel=0.01)
+        assert out == pytest.approx(0.11133, rel=0.01)
+
+
+KINDS = st.sampled_from(["none", "droop", "inertia", "combined"])
+DROOPS = st.builds(DroopConfig, r=st.floats(0.02, 0.1),
+                   deadband=st.floats(0.0, 0.003),
+                   t_lag=st.floats(0.01, 1.0))
+INERTIAS = st.builds(InertiaConfig, k=st.floats(0.0, 15.0),
+                     deadband=st.floats(0.0, 0.003),
+                     t_lag=st.floats(0.01, 0.2),
+                     t_washout=st.floats(0.02, 0.5),
+                     recovery_clamp=st.booleans())
+DTS = st.sampled_from([0.001, 0.005, 0.02])
+# zeros of both signs hold the recovery clamp off
+DEVIATIONS = st.one_of(st.floats(-0.01, 0.01), st.sampled_from([0.0, -0.0]))
+
+
+class TestReferenceDifferential:
+    """``hold`` equals the block-per-object reference bit for bit on any
+    deviation sequence, including ones that trip the recovery clamp (an
+    open-loop step never does)."""
+
+    @settings(max_examples=200)
+    @given(KINDS, DROOPS, INERTIAS, DTS,
+           st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=200))
+    # kind none commands 0.0
+    @example("none", DroopConfig(), InertiaConfig(), 0.01, [-0.01])
+    def test_equals_reference(self, kind, dcfg, icfg, dt, deviations):
+        spec = ControllerSpec(kind=kind, droop=dcfg, inertia=icfg)
+        hold = make_controller(spec, dt)
+        ref = reference_controller(spec)
+        for df in deviations:
+            assert hold(df, 1) == [ref.step(df, dt)]
+
+    @settings(max_examples=200)
+    @given(KINDS, DROOPS, INERTIAS, DTS,
+           st.lists(st.tuples(DEVIATIONS, st.integers(1, 50)), min_size=1,
+                    max_size=20))
+    def test_held_runs_equal_reference(self, kind, dcfg, icfg, dt, runs):
+        spec = ControllerSpec(kind=kind, droop=dcfg, inertia=icfg)
+        hold = make_controller(spec, dt)
+        ref = reference_controller(spec)
+        for df, n in runs:
+            want = [ref.step(df, dt) for _ in range(n)]
+            assert signed(hold(df, n)) == signed(want)
+
+    @settings(max_examples=100)
+    @given(KINDS, DROOPS, INERTIAS, DTS, DEVIATIONS, st.integers(0, 50),
+           st.integers(0, 50))
+    def test_split_hold_equals_one_hold(self, kind, dcfg, icfg, dt, df, m,
+                                        n):
+        spec = ControllerSpec(kind=kind, droop=dcfg, inertia=icfg)
+        split = make_controller(spec, dt)
+        whole = make_controller(spec, dt)
+        assert signed(split(df, m) + split(df, n)) == signed(
+            whole(df, m + n))
+
+    def test_fixed_point_repeats_one_command_object(self):
+        # Once a step leaves the filter states as they were, hold stops
+        # updating them and repeats that step's command.
+        spec = ControllerSpec(kind="combined", droop=DroopConfig(t_lag=0.01),
+                              inertia=InertiaConfig(t_lag=0.01,
+                                                    t_washout=0.02))
+        hold = make_controller(spec, 0.001)
+        hold(-0.002, 10000)
+        cmds = hold(-0.002, 5)
+        assert len(cmds) == 5
+        assert all(cmd is cmds[0] for cmd in cmds)
+
+
+class TestLimitSpec:
+    # headroom 0.1 of available power 1: the envelope is [-0.9, 0.1]; with
+    # no headroom it is [-1, 0], and a downward request still reaches -1
+    @pytest.mark.parametrize(
+        "cmd, expected, headroom",
+        [(0.05, 0.05, 0.1), (0.15, 0.1, 0.1), (-1.2, -0.9, 0.1),
+         (-2.0, -1.0, 0.0)],
+        ids=["0.05-0.05", "0.15-0.1", "-1.2--0.9", "-2.0--1.0-no_headroom"])
+    def test_magnitude_clamp(self, monkeypatch, cmd, expected, headroom):
+        assert envelope(monkeypatch, [cmd], headroom) == [expected]
+
+    @pytest.mark.parametrize("held, delivered, dip",
+                             [(0.0, 0.0, 0.0625), (0.25, 0.1, 0.0625),
+                              (-1.0, -0.9, -0.5)])
+    def test_requests_across_held_chunks(self, monkeypatch, held,
+                                         delivered, dip):
+        # 600 requests reach the envelope in three calls of the stub after
+        # the step. The last call starts where the output has settled and
+        # ends on the same envelope value, with one request inside the
+        # band between. Neighbouring samples are 0.0 or within a factor
+        # of 2 of each other, so their differences, and the samples, are
+        # exact.
+        assert envelope(monkeypatch, [held] * 552 + [dip]
+                        + [held] * 47, headroom=0.1) == (
+            [delivered] * 552 + [dip] + [delivered] * 47)
+
+    def test_rate_limit(self, monkeypatch):
+        y, = envelope(monkeypatch, [0.2], headroom=0.5, rate_limit=0.5,
+                      dt=0.1)
+        assert y == pytest.approx(0.05)
+
+    @given(st.floats(min_value=-5, max_value=5),
+           st.floats(min_value=-1, max_value=1),
+           st.floats(min_value=0.01, max_value=1))
+    def test_output_within_limits(self, cmd, prev, dt):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            out = envelope(monkeypatch, [prev, cmd], headroom=0.5,
+                           rate_limit=2.0, dt=dt)
+        steps = [b - a for a, b in zip([0.0] + out, out)]
+        assert all(-0.5 - 1e-12 <= y <= 0.5 + 1e-12 for y in out)
+        assert all(abs(d) <= 2.0 * dt + 1e-12 for d in steps)
+
+    @given(st.floats(min_value=-0.5, max_value=0.5))
+    def test_idempotent_when_feasible(self, cmd):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert envelope(monkeypatch, [cmd], headroom=0.5) == [cmd]
+
+
+class TestPVPlant:
+    """The envelope inside ``run_step_test``: clamp, rate limit, lag."""
+
+    def test_headroom_saturation(self):
+        # 0.002 / 0.01 = 0.2 plant pu demanded against 0.1 of headroom
+        spec = ControllerSpec(kind="droop",
+                              droop=DroopConfig(r=0.01, deadband=0.0))
+        resp = run_step_test(spec, PVPlantConfig(headroom=0.1), sim=SIM)
+        assert max(resp.y) <= 0.1
+        assert resp.y[-1] == pytest.approx(0.10, abs=1e-12)
+
+    def test_no_headroom_means_no_upward_response(self):
+        resp = run_step_test(ControllerSpec(kind="combined"),
+                             PVPlantConfig(headroom=0.0), sim=SIM)
+        assert all(y == 0.0 for y in resp.y)
+
+    def test_rate_limit_bounds_command_slew(self, monkeypatch):
+        # The limited command moves at most 0.02 * dt per step; the
+        # inverter lag of that command moves no faster.
+        stub_controller(monkeypatch, repeat(1.0))
+        spec = ControllerSpec(kind="droop")
+        sim = SimConfig(t_end=20.0, sample_interval=0.005)
+        plant = PVPlantConfig(headroom=0.5, rate_limit=0.02, t_inv=0.01)
+        resp = run_step_test(spec, plant, sim=sim)
+        slews = [b - a for a, b in zip(resp.y, resp.y[1:])]
+        assert max(slews) <= 0.02 * 0.005 + 1e-15
+        # the ramp sets the pace: 19 s at 0.02/s, less the lag's 0.01 s
+        # delay, stays below the 0.5 headroom
+        assert resp.y[-1] == pytest.approx(0.02 * (19.0 - 0.01), abs=1e-3)
+        unlimited = run_step_test(spec, PVPlantConfig(headroom=0.5,
+                                                      t_inv=0.01), sim=sim)
+        assert unlimited.y[-1] == pytest.approx(0.5, abs=1e-12)
+
+    def test_step_response_is_on_plant_base(self):
+        # run_step_test reports plant pu: c_pv does not scale it
+        spec = ControllerSpec(kind="droop", droop=DroopConfig(r=0.05))
+        small = run_step_test(spec, PVPlantConfig(c_pv=0.2, headroom=0.05),
+                              sim=SIM)
+        large = run_step_test(spec, PVPlantConfig(c_pv=0.4, headroom=0.05),
+                              sim=SIM)
+        assert small.y == large.y
+        assert large.y[-1] == pytest.approx(0.028, abs=1e-9)
 
 
 class TestRunStepTest:
@@ -125,13 +570,6 @@ class TestRunStepTest:
         with pytest.raises(ValueError, match="none"):
             run_step_test(ControllerSpec(kind="none"),
                           PVPlantConfig(headroom=0.1), sim=SIM)
-
-    def test_headroom_clamp_caps_response(self):
-        # demand 0.04 exceeds 0.03 headroom: response saturates there
-        resp = run_step_test(droop_spec(), PVPlantConfig(headroom=0.03),
-                             sim=SIM)
-        assert resp.y[-1] == pytest.approx(0.03, abs=1e-9)
-
 
     @pytest.mark.parametrize("t_end", [0.5, 1.0])
     def test_horizon_without_the_step_rejected(self, t_end):
@@ -444,6 +882,22 @@ class TestEvaluateCompliance:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evaluate_compliance(resp)
 
+    # A finite response whose tail, or whose samples before the step, sum
+    # past the float range is graded as its copy scaled to 1.0 is.
+    @pytest.mark.parametrize("y, scaled, step_time", [
+        ([0.0] + [1.7e308] * 19, [0.0] + [1.0] * 19, 0.0),
+        ([1.7e308] * 5 + [0.0] * 15, [1.0] * 5 + [0.0] * 15, 0.45),
+    ], ids=["tail", "pre_step"])
+    def test_overflowing_sum_is_graded_as_its_scaled_copy(self, y, scaled,
+                                                           step_time):
+        t = [k * 0.1 for k in range(20)]
+        got, want = (evaluate_compliance(StepResponse(t, column, step_time,
+                                                      0.002))
+                     for column in (y, scaled))
+        # the criteria hold the three times and the overshoot
+        assert got.passed and got.criteria == want.criteria
+        assert got.metrics.final_value == 1.7e308 * want.metrics.final_value
+
     def test_format_report_mentions_overall(self):
         report = evaluate_compliance(synthetic_first_order(1.0))
         text = format_report(report)
@@ -558,7 +1012,7 @@ class TestGradingOracle:
     @example(([k * 0.1 for k in range(20)],
               [0.0] + [1.0] * 17 + [1.0 - 2.0**-10, 1.0 + 2.0**-10], 0.0,
               2.0**-10))
-    # the tail's mean overflows, so progress is 0 and never reaches 0.02
+    # the sum of y overflows, but its one-sample tail's does not
     @example(([0.0, 0.1, 0.2, 0.3], [0.0, 1e308, 1e308, 1e308], 0.0, 0.1))
     def test_equals_the_progress_list_grader(self, case):
         assert (_graded(_step_response_metrics, *case)

@@ -424,6 +424,18 @@ class TestGovernorRhs:
                 assert slope == pytest.approx(rate, rel=5e-3)
 
 
+class TestPVPlant:
+    def test_system_base_scaling(self):
+        # closed loop: settled dp_pv_pu is c_pv times the plant-pu droop
+        s = preset_scenario("ei80", controller="droop")
+        trace = run_simulation(s)
+        df_ss = trace.f_hz[-1] / 60.0 - 1.0
+        dcfg = s.controller.droop
+        plant_pu = (abs(df_ss) - dcfg.deadband) / dcfg.r
+        assert trace.dp_pv_pu[-1] == pytest.approx(
+            s.system.pv.c_pv * plant_pu, rel=1e-6)
+
+
 def balance(kind="none", dp=0.02, r=0.05, **system):
     """A scenario for the steady-state balance, h_sys 3 s."""
     return Scenario(

@@ -520,6 +520,14 @@ class TestScenarioDocForm:
         assert preset_scenario("ei80") != preset_scenario("ercot80")
 
 
+class TestPVPlant:
+    def test_operating_point_fields(self):
+        cfg = PVPlantConfig(headroom=0.2, available_power=0.9)
+        assert cfg.operating_point == pytest.approx(0.72)
+        assert cfg.up_limit == pytest.approx(0.18)
+        assert cfg.down_limit == pytest.approx(-0.72)
+
+
 class TestPresetDocuments:
     """A preset is a partial scenario document merged beneath the given
     one."""

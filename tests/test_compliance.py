@@ -135,6 +135,11 @@ class TestFirstOrderLag:
     def lag(t_lag):
         return DroopConfig(r=1.0, deadband=0.0, t_lag=t_lag)
 
+    def test_single_step_analytic(self):
+        cmd, = controller(0.1, droop=self.lag(1.0))(1.0)
+        assert -cmd == pytest.approx(1.0 - math.exp(-0.1), abs=1e-12)
+        assert -cmd == pytest.approx(0.0951626, abs=1e-7)
+
     def test_fixed_point(self):
         for dt in (0.001, 0.1, 3.0):
             lag = controller(dt, droop=self.lag(0.7))
@@ -150,8 +155,6 @@ class TestFirstOrderLag:
            st.integers(min_value=1, max_value=200),
            st.floats(min_value=-2, max_value=2),
            st.floats(min_value=-2, max_value=2))
-    # one step from rest: 1 - exp(-0.1) = 0.0951626
-    @example(1.0, 0.1, 1, 0.0, 1.0)
     def test_exact_exponential_convergence(self, t_const, dt, n, y0, u):
         """|y(n dt) - u| = |y0 - u| exp(-n dt / T): discretization exact,
         from the state y0 one step toward an earlier input leaves."""
@@ -280,8 +283,6 @@ class TestInertiaController:
 class TestCombinedController:
     @given(st.lists(st.floats(min_value=-0.01, max_value=0.01),
                     min_size=1, max_size=50))
-    # the first step of each path at -0.01
-    @example([-0.01])
     def test_superposition(self, deviations):
         both = controller(0.01, "combined")
         d, i = controller(0.01), controller(0.01, "inertia")
@@ -326,6 +327,14 @@ class TestCombinedController:
         assert out == pytest.approx(0.11133, rel=0.01)
 
 
+class TestControllerFactory:
+    def test_kinds(self):
+        assert controller(0.01, "none")(-0.01) == [0.0]
+        both = controller(0.01, "combined")
+        d, i = controller(0.01), controller(0.01, "inertia")
+        assert both(-0.01)[0] == d(-0.01)[0] + i(-0.01)[0]
+
+
 KINDS = st.sampled_from(["none", "droop", "inertia", "combined"])
 DROOPS = st.builds(DroopConfig, r=st.floats(0.02, 0.1),
                    deadband=st.floats(0.0, 0.003),
@@ -348,8 +357,6 @@ class TestReferenceDifferential:
     @settings(max_examples=200)
     @given(KINDS, DROOPS, INERTIAS, DTS,
            st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=200))
-    # kind none commands 0.0
-    @example("none", DroopConfig(), InertiaConfig(), 0.01, [-0.01])
     def test_equals_reference(self, kind, dcfg, icfg, dt, deviations):
         spec = ControllerSpec(kind=kind, droop=dcfg, inertia=icfg)
         hold = make_controller(spec, dt)
